@@ -9,21 +9,26 @@
 //! accesses-per-second figures, so successive PRs have a perf trajectory
 //! to compare against. Schema 3 added a `campaign` section timing the tiny
 //! face-off sweep (cells per second on the shard pool); schema 4 added a
-//! `phases` section with the instrumented-loop cycle profile (see the
-//! `phases` bench — same profiler, embedded here so CI can gate on
-//! `cyc_per_access` and the per-phase shares); schema 5 adds the
-//! million-station capacity tier `sparse_lsb_1M` (n = 10^6 batch-injected,
-//! short horizon) and a `capacity` section with its measured
-//! bytes-per-station budget — engine overhead only (wake wheel + table
-//! bookkeeping lanes), with protocol state reported separately; schema 6
-//! adds the channel-model smoke entry `sparse_lsb_16384_nocd` (the same
+//! `phases` section with the sparse loop's cycle profile (see the `phases`
+//! bench — same profiler, embedded here so CI can gate on `cyc_per_access`
+//! and the per-phase shares); schema 5 adds the million-station capacity
+//! tier `sparse_lsb_1M` (n = 10^6 batch-injected, short horizon) and a
+//! `capacity` section with its measured bytes-per-station budget — engine
+//! overhead only (wake wheel + table bookkeeping lanes + staging buffers),
+//! with protocol state reported separately; schema 6 adds the
+//! channel-model smoke entry `sparse_lsb_16384_nocd` (the same
 //! LSB batch on the no-collision-detection channel, horizon capped because
 //! full-sensing LSB livelocks there — the entry times the model dispatch
 //! path, not a drain); schema 7 adds the mid-tier `sparse_lsb_100k`
 //! (engine + phases entries, tracking the scaling curve between 16384 and
 //! 1M), grows the phase shares from 10 to 13 slugs (the staged
 //! gather/scatter path's `permute`/`gather`/`scatter`), and breaks the
-//! staging buffers out as `stage_bytes` in the capacity section:
+//! staging buffers out as `stage_bytes` in the capacity section.
+//!
+//! The `phases` and `capacity` entries come from the profiling hook set in
+//! `lowsense_bench::profile`, attached to the production sparse loop
+//! through `Scenario::run_sparse_hooked`. `capacity.state_bytes` is the
+//! peak live count times `size_of::<LowSensing>()`:
 //!
 //! ```json
 //! {
@@ -54,8 +59,9 @@ use std::time::Instant;
 
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{CjpConfig, CjpMwu};
-use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, PHASES};
+use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, SmokeProfile};
 use lowsense_experiments::campaigns;
+use lowsense_sim::hooks::Phase;
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
 
@@ -214,19 +220,16 @@ fn main() {
     let campaign_runs = campaign_spec.unit_count() as u64 * campaign_reps as u64;
     let cells_per_sec = campaign_cells as f64 / campaign_seconds.max(1e-12);
 
-    // The cycle profile of the sparse hot loop, via the same instrumented
-    // replica the `phases` bench prints (validated against run_sparse on
-    // every rep).
+    // The cycle profile of the sparse hot loop, from the same profiling
+    // hook set the `phases` bench prints.
     let phase_profile = profile_sparse_smoke(16_384, 5);
 
     // The mid tier's phase profile: the first point where the staged
-    // permute/gather/scatter slugs accrue cycles (one seed, validated
-    // against run_sparse like every profiled entry; probe unused here).
+    // permute/gather/scatter slugs accrue cycles (one seed; the memory
+    // peaks are unused here).
     let (mid_profile, _) = profile_sparse_capacity(MID_STATIONS, CAP_HORIZON, 1);
 
-    // The capacity tier's phase profile and memory budget, from the same
-    // instrumented replica with the periodic memory probe attached (one
-    // seed, validated against run_sparse on the capped scenario).
+    // The capacity tier's phase profile and memory budget (one seed).
     let (cap_profile, cap_probe) = profile_sparse_capacity(CAP_STATIONS, CAP_HORIZON, 1);
     assert!(
         cap_probe.peak_live >= CAP_STATIONS / 2,
@@ -256,23 +259,19 @@ fn main() {
         campaign_cells, campaign_runs, campaign_seconds, cells_per_sec
     ));
     json.push_str("  },\n  \"phases\": {\n");
-    let push_phases =
-        |json: &mut String, name: &str, p: &lowsense_bench::profile::SmokeProfile, sep: &str| {
-            json.push_str(&format!(
-                "    \"{name}\": {{ \"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ ",
-                p.accesses,
-                p.cyc_per_access()
-            ));
-            for (i, phase) in PHASES.iter().enumerate() {
-                let sep = if i + 1 == PHASES.len() { "" } else { ", " };
-                json.push_str(&format!(
-                    "\"{}\": {:.4}{sep}",
-                    phase.slug,
-                    p.profile.share(i)
-                ));
-            }
-            json.push_str(&format!(" }} }}{sep}\n"));
-        };
+    let push_phases = |json: &mut String, name: &str, p: &SmokeProfile, sep: &str| {
+        json.push_str(&format!(
+            "    \"{name}\": {{ \"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ ",
+            p.accesses,
+            p.cyc_per_access()
+        ));
+        let shares: Vec<String> = Phase::ALL
+            .iter()
+            .map(|&phase| format!("\"{}\": {:.4}", phase.slug(), p.profile.share(phase)))
+            .collect();
+        json.push_str(&shares.join(", "));
+        json.push_str(&format!(" }} }}{sep}\n"));
+    };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
     push_phases(&mut json, "sparse_lsb_100k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
@@ -283,7 +282,7 @@ fn main() {
         cap_probe.peak_live,
         CAP_HORIZON,
         cap_probe.peak_engine_bytes,
-        cap_probe.peak_state_bytes,
+        cap_probe.state_bytes(),
         cap_probe.peak_stage_bytes,
         cap_probe.bytes_per_station(),
         cap_probe.samples
@@ -309,25 +308,24 @@ fn main() {
         "phases_sparse_lsb_16384",
         phase_profile.accesses,
         phase_profile.cyc_per_access(),
-        100.0 * phase_profile.profile.share(7),
-        100.0 * phase_profile.profile.share(8),
+        100.0 * phase_profile.profile.share(Phase::Observe),
+        100.0 * phase_profile.profile.share(Phase::Wake),
     );
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
         "phases_sparse_lsb_100k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
-        100.0 * mid_profile.profile.share(3),
-        100.0 * mid_profile.profile.share(4),
-        100.0 * mid_profile.profile.share(11),
+        100.0 * mid_profile.profile.share(Phase::Permute),
+        100.0 * mid_profile.profile.share(Phase::Gather),
+        100.0 * mid_profile.profile.share(Phase::Scatter),
     );
     println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station, {:.1} state B/station)",
+        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station)",
         "capacity_sparse_lsb_1M",
         cap_profile.accesses,
         cap_profile.cyc_per_access(),
         cap_probe.bytes_per_station(),
-        cap_probe.peak_state_bytes as f64 / cap_probe.peak_live.max(1) as f64,
     );
     let mut f = std::fs::File::create(OUT_FILE).expect("create BENCH_engine.json");
     f.write_all(json.as_bytes())

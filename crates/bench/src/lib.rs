@@ -1,9 +1,10 @@
 //! Shared measurement machinery for the bench targets.
 //!
-//! The phase profiler here is consumed by two benches: `phases` (the
-//! human-readable breakdown, with a `--json` mode) and `smoke` (which
-//! records `cyc_per_access` and per-phase shares into `BENCH_engine.json`
-//! so CI can gate on them). Keeping one copy of the instrumented loop means
-//! the two can never disagree about what was measured.
+//! The phase profiler here is a `Hooks` implementation attached to the
+//! production sparse loop, consumed by two benches: `phases` (the
+//! human-readable breakdown) and `smoke` (which records `cyc_per_access`,
+//! the per-phase shares and the capacity peaks into `BENCH_engine.json`
+//! so CI can gate on them). Both read the same profiler, so they can never
+//! disagree about what was measured.
 
 pub mod profile;

@@ -21,9 +21,9 @@
 //!   implementation that asks the sparse engine for a periodic
 //!   [`EngineSample`](lowsense_sim::hooks::EngineSample) (backlog, the
 //!   active-slot partition, send/listen energy, contention,
-//!   `overhead_slots`, wake-structure and state-lane footprints), keeps
-//!   the last `capacity` of them in a bounded ring, and exports the lot as
-//!   schema-versioned JSONL.
+//!   `overhead_slots`, wake-structure and packet-table bookkeeping
+//!   footprints), keeps the last `capacity` of them in a bounded ring, and
+//!   exports the lot as schema-versioned JSONL.
 //! * [`StallDetector`] — watches the sample stream for "backlog
 //!   non-decreasing while collision-or-silence slots dominate for a whole
 //!   window" and renders a diagnosis. This is what turns the

@@ -243,6 +243,7 @@ mod tests {
             contention: 1.0,
             footprint_bytes: 0,
             state_bytes: 0,
+            stage_bytes: 0,
         }
     }
 

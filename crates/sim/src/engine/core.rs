@@ -46,7 +46,7 @@ use crate::view::SystemView;
 /// [`RunResult`]. The third parameter is the run's [`FeedbackModel`],
 /// defaulting to the paper's [`Ternary`] channel.
 #[derive(Debug)]
-pub struct EngineCore<A, J, M = Ternary> {
+pub(crate) struct EngineCore<A, J, M = Ternary> {
     /// The run's deterministic RNG. Engines draw protocol coins from it so
     /// one seed fixes the entire execution.
     pub rng: SimRng,
@@ -63,18 +63,6 @@ pub struct EngineCore<A, J, M = Ternary> {
     skew: u64,
 }
 
-impl<A: ArrivalProcess, J: Jammer> EngineCore<A, J> {
-    /// Creates the substrate for one run under the default [`Ternary`]
-    /// channel.
-    ///
-    /// (Defined on the `Ternary`-concrete impl so plain `EngineCore::new`
-    /// call sites keep inferring the default model — default type
-    /// parameters do not participate in expression inference.)
-    pub fn new(cfg: &SimConfig, arrivals: A, jammer: J) -> Self {
-        Self::with_model(cfg, arrivals, jammer, Ternary)
-    }
-}
-
 impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
     /// Creates the substrate for one run under an explicit feedback model.
     pub fn with_model(cfg: &SimConfig, arrivals: A, jammer: J, model: M) -> Self {
@@ -89,19 +77,6 @@ impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
             model,
             skew: 0,
         }
-    }
-
-    /// The run's feedback model (models are tiny `Copy` types).
-    #[inline]
-    pub fn model(&self) -> M {
-        self.model
-    }
-
-    /// Physical-minus-logical clock skew so far (identically 0 under
-    /// [`Ternary`]).
-    #[inline]
-    pub fn skew(&self) -> u64 {
-        self.skew
     }
 
     /// The run's safety limits.
@@ -276,7 +251,7 @@ mod tests {
             max_slot: 10,
             max_steps: 3,
         });
-        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam);
+        let mut core = EngineCore::with_model(&cfg, Batch::new(1), NoJam, Ternary);
         assert!(core.within_limits(0));
         assert!(core.within_limits(10));
         assert!(!core.within_limits(11));
@@ -291,7 +266,7 @@ mod tests {
     #[test]
     fn arrival_cursor_consumption_via_core() {
         let cfg = SimConfig::new(2);
-        let mut core = EngineCore::new(&cfg, Batch::new(5), NoJam);
+        let mut core = EngineCore::with_model(&cfg, Batch::new(5), NoJam, Ternary);
         assert_eq!(core.peek_arrival(0, 0, 0.0), Some((0, 5)));
         assert_eq!(core.peek_arrival(0, 0, 0.0), Some((0, 5)), "peek caches");
         core.consume_arrival();
@@ -301,7 +276,7 @@ mod tests {
     #[test]
     fn jam_decision_consults_reactive_only_with_senders() {
         let cfg = SimConfig::new(3);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), ReactiveAny::new(1));
+        let mut core = EngineCore::with_model(&cfg, Batch::new(1), ReactiveAny::new(1), Ternary);
         // Adaptive-only path can never fire for a reactive adversary.
         assert!(!core.adaptive_jam(0, 1, 1.0));
         // No senders: reactive declines.
@@ -314,7 +289,7 @@ mod tests {
     #[test]
     fn resolve_accounts_the_slot() {
         let cfg = SimConfig::new(4);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), NoJam);
+        let mut core = EngineCore::with_model(&cfg, Batch::new(1), NoJam, Ternary);
         let outcome = core.resolve(7, false, &[PacketId(0)]);
         assert_eq!(outcome, SlotOutcome::Success { id: PacketId(0) });
         assert_eq!(core.metrics.totals.successes, 1);
@@ -324,7 +299,8 @@ mod tests {
     #[test]
     fn gap_accounting_splits_active_and_inactive() {
         let cfg = SimConfig::new(5);
-        let mut core = EngineCore::new(&cfg, Batch::new(1), PeriodicBurst::new(10, 3, 0));
+        let mut core =
+            EngineCore::with_model(&cfg, Batch::new(1), PeriodicBurst::new(10, 3, 0), Ternary);
         // Active gap: jam slots counted exactly by the deterministic jammer.
         assert_eq!(core.account_gap(0, 20, 2, 0.5), Some(6));
         assert_eq!(core.metrics.totals.active_slots, 20);
@@ -346,7 +322,7 @@ mod tests {
         let o = core.resolve(0, false, &[a, b]);
         assert_eq!(o, SlotOutcome::Collision { senders: 2 });
         assert_eq!(core.metrics.totals.last_slot, 0, "slot recorded pre-skew");
-        assert_eq!(core.skew(), 1);
+        assert_eq!(core.skew, 1);
         assert_eq!(core.metrics.totals.overhead_slots, 1);
         // Logical slot 1 lands at physical slot 2.
         core.resolve(1, false, &[a]);
@@ -364,17 +340,17 @@ mod tests {
     #[test]
     fn ternary_core_has_zero_skew() {
         let cfg = SimConfig::new(7);
-        let mut core = EngineCore::new(&cfg, Batch::new(2), NoJam);
+        let mut core = EngineCore::with_model(&cfg, Batch::new(2), NoJam, Ternary);
         core.resolve(0, false, &[PacketId(0), PacketId(1)]);
         core.resolve(1, true, &[PacketId(0), PacketId(1)]);
-        assert_eq!(core.skew(), 0);
+        assert_eq!(core.skew, 0);
         assert_eq!(core.metrics.totals.overhead_slots, 0);
     }
 
     #[test]
     fn finish_carries_the_seed() {
         let cfg = SimConfig::new(99);
-        let core = EngineCore::new(&cfg, Batch::new(0), NoJam);
+        let core = EngineCore::with_model(&cfg, Batch::new(0), NoJam, Ternary);
         assert_eq!(core.finish().seed, 99);
     }
 }

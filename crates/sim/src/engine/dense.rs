@@ -8,7 +8,7 @@
 //! one.
 //!
 //! The engine is a stepping strategy over the shared
-//! [`EngineCore`]: it owns only the packet table
+//! `EngineCore`: it owns only the packet table
 //! and the slot-by-slot visit order.
 
 use crate::arrivals::ArrivalProcess;

@@ -2,9 +2,10 @@
 //!
 //! Three engines share one semantics (the model of paper §1.1) and one
 //! substrate: every engine is a *stepping strategy* over the shared
-//! [`EngineCore`], which owns the RNG, arrival cursor, jamming decision
-//! order, slot resolution, metrics, and limits. The strategies differ only
-//! in their per-packet bookkeeping and slot visit order:
+//! crate-private `EngineCore` (`engine/core.rs`), which owns the RNG,
+//! arrival cursor, jamming decision order, slot resolution, metrics, and
+//! limits. The strategies differ only in their per-packet bookkeeping and
+//! slot visit order:
 //!
 //! * [`dense`] — slot-by-slot reference engine, `O(packets)` per slot. The
 //!   oracle the others are validated against.
@@ -42,7 +43,7 @@
 //! [`SparseProtocol`]: crate::protocol::SparseProtocol
 //! [`SymmetricProtocol`]: grouped::SymmetricProtocol
 
-pub mod core;
+pub(crate) mod core;
 pub mod dense;
 pub mod grouped;
 pub mod sparse;
@@ -52,7 +53,6 @@ pub mod table;
 pub mod wake;
 pub mod wake_flat;
 
-pub use self::core::EngineCore;
 pub use dense::{run_dense, run_dense_model};
 pub use grouped::{run_grouped, run_grouped_model, SymmetricProtocol};
 pub use sparse::{run_sparse, run_sparse_flat, run_sparse_flat_model, run_sparse_model};

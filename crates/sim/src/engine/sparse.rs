@@ -41,6 +41,11 @@
 //! handles never span a compaction: the engine compacts only at
 //! end-of-slot, after a depart.
 //!
+//! The loop marks the end of each of its thirteen phases through
+//! [`Hooks::on_phase`] (see [`Phase`]). Hook sets that leave the default
+//! compile the marks away; the bench crate's profiler times them, so the
+//! published phase shares describe this loop and no copy of it.
+//!
 //! Within one slot, packets are processed in **insertion order** — the
 //! order their wake events were scheduled — which the calendar queue hands
 //! back for free, with no per-slot sort. The previous heap-based loop is
@@ -66,7 +71,7 @@ use crate::engine::table::PacketTable;
 use crate::engine::wake::{cap_scratch, WakeQueue, WakeSet, SCRATCH_CAP};
 use crate::engine::wake_flat::FlatWakeQueue;
 use crate::feedback::{FeedbackModel, Observation, SlotOutcome, Ternary};
-use crate::hooks::{EngineSample, Hooks};
+use crate::hooks::{EngineSample, Hooks, Phase};
 use crate::jamming::Jammer;
 use crate::metrics::{RunResult, Totals};
 use crate::packet::PacketId;
@@ -314,6 +319,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             *contention += p.send_probability() - before_sp;
         }
     }
+    hooks.on_phase(Phase::Observe);
 
     // Wake-draw pass: the slot's only RNG draws, in the slot's insertion
     // order — exactly the reference loop's stream. The resolved wake
@@ -330,6 +336,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
         let delay = arena.at_mut(pos).next_wake(&mut core.rng);
         wakes.push(wake_slot(te + 1, delay));
     }
+    hooks.on_phase(Phase::Wake);
 
     // Schedule pass: pure queue traffic, no state-arena or RNG touches,
     // same `queue.schedule` call sequence as the reference loop (listener
@@ -345,6 +352,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             queue.schedule(slot, id.0);
         }
     }
+    hooks.on_phase(Phase::Sched);
 
     let winner = match *outcome {
         SlotOutcome::Success { id } => Some(id),
@@ -373,6 +381,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
             }
         }
     }
+    hooks.on_phase(Phase::Senders);
 }
 
 /// The sparse loop body, generic over the wake set. Every ordering-visible
@@ -438,15 +447,19 @@ where
     let mut event_slots: u64 = 0;
 
     // Builds one snapshot from already-final accounting state.
-    fn engine_sample(
+    #[allow(clippy::too_many_arguments)]
+    fn engine_sample<P, Q: WakeSet>(
         totals: &Totals,
         te: Slot,
         event_slots: u64,
         backlog: u64,
         contention: f64,
-        footprint_bytes: u64,
-        state_bytes: u64,
+        queue: &Q,
+        packets: &PacketTable<P>,
+        stage: &StagePlan,
+        scratch: &Vec<P>,
     ) -> EngineSample {
+        let stage_bytes = stage.footprint_bytes() + scratch.capacity() * std::mem::size_of::<P>();
         EngineSample {
             slot: te,
             event_slots,
@@ -461,8 +474,9 @@ where
             listens: totals.listens,
             overhead_slots: totals.overhead_slots,
             contention,
-            footprint_bytes,
-            state_bytes,
+            footprint_bytes: queue.footprint_bytes() as u64,
+            state_bytes: packets.lane_bytes() as u64,
+            stage_bytes: stage_bytes as u64,
         }
     }
 
@@ -520,6 +534,7 @@ where
 
         // Slide the calendar window up to the slot being processed.
         queue.advance_to(te);
+        hooks.on_phase(Phase::Control);
 
         // Inject all arrivals scheduled for slot te.
         while let Some((ta, count)) = core.peek_arrival(te, active_count, contention) {
@@ -541,12 +556,14 @@ where
                 }
             }
         }
+        hooks.on_phase(Phase::Inject);
 
         // Collect every packet accessing the channel in slot te, in
         // insertion order (the (slot, seq)-keyed reference heap's pop
         // order).
         participants.clear();
         queue.take(te, &mut participants);
+        hooks.on_phase(Phase::Take);
 
         if participants.is_empty() {
             // Arrival-only slot: nobody accesses; resolve as empty/jammed
@@ -566,13 +583,16 @@ where
                         event_slots,
                         active_count,
                         contention,
-                        queue.footprint_bytes() as u64,
-                        packets.lane_bytes() as u64,
+                        &queue,
+                        &packets,
+                        &stage,
+                        &scratch,
                     ));
                 }
             }
             now = te + 1;
             core.step_done();
+            hooks.on_phase(Phase::Resolve);
             continue;
         }
 
@@ -603,7 +623,9 @@ where
             // order); `gather` resolves and copies in two prefetched
             // ascending sweeps.
             stage.build_order(&participants);
+            hooks.on_phase(Phase::Permute);
             stage.gather(&packets, &mut scratch);
+            hooks.on_phase(Phase::Gather);
             let pos_of = stage.pos_of();
             for (k, &id) in participants.iter().enumerate() {
                 let pos = pos_of[k];
@@ -627,10 +649,12 @@ where
                 }
             }
         }
+        hooks.on_phase(Phase::Split);
 
         let jam = core.jam_decision(te, active_count, contention, &senders);
         let outcome = core.resolve(te, jam, &senders);
         hooks.on_slot(te, &outcome);
+        hooks.on_phase(Phase::Resolve);
 
         // The observe/wake/sender passes, against whichever arena holds
         // this slot's states (see `slot_passes`). On the staged path the
@@ -653,6 +677,7 @@ where
                 &mut wakes,
             );
             packets.scatter_from(stage.handles(), &scratch);
+            hooks.on_phase(Phase::Scatter);
         } else {
             slot_passes(
                 &mut packets,
@@ -710,13 +735,16 @@ where
                     event_slots,
                     active_count,
                     contention,
-                    queue.footprint_bytes() as u64,
-                    packets.lane_bytes() as u64,
+                    &queue,
+                    &packets,
+                    &stage,
+                    &scratch,
                 ));
             }
         }
         now = te + 1;
         core.step_done();
+        hooks.on_phase(Phase::Depart);
     }
 
     core.finish()
@@ -949,6 +977,62 @@ mod tests {
         assert_eq!(r.totals.successes, 300);
         hooks.seen.sort_unstable();
         assert_eq!(hooks.seen, (0..300).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sampled_state_bytes_exclude_the_protocol_lane() {
+        /// `Fixed` padded to 64 bytes: were the protocol-state lane counted
+        /// in `state_bytes`, every live packet would add 64 B to it.
+        #[derive(Clone)]
+        struct Wide([f64; 8]);
+        impl Protocol for Wide {
+            fn intent(&mut self, rng: &mut SimRng) -> Intent {
+                Fixed(self.0[0]).intent(rng)
+            }
+            fn observe(&mut self, _obs: &Observation) {}
+            fn send_probability(&self) -> f64 {
+                self.0[0]
+            }
+            fn next_wake(&mut self, rng: &mut SimRng) -> Option<u64> {
+                Fixed(self.0[0]).next_wake(rng)
+            }
+        }
+        impl SparseProtocol for Wide {
+            fn send_on_access(&mut self, _rng: &mut SimRng) -> bool {
+                true
+            }
+        }
+        #[derive(Default)]
+        struct Peaks {
+            state_bytes: u64,
+            stage_bytes: u64,
+            backlog: u64,
+        }
+        impl Hooks<Wide> for Peaks {
+            fn sample_period(&self) -> Option<u64> {
+                Some(1)
+            }
+            fn on_sample(&mut self, s: &EngineSample) {
+                self.state_bytes = self.state_bytes.max(s.state_bytes);
+                self.stage_bytes = self.stage_bytes.max(s.stage_bytes);
+                self.backlog = self.backlog.max(s.backlog);
+            }
+        }
+        assert_eq!(std::mem::size_of::<Wide>(), 64);
+        let mut peaks = Peaks::default();
+        let cfg = SimConfig::new(11).limits(Limits::until_slot(256));
+        run_sparse(
+            &cfg,
+            Batch::new(4096),
+            NoJam,
+            |_| Wide([0.01; 8]),
+            &mut peaks,
+        );
+        assert_eq!(peaks.backlog, 4096);
+        let per_station = peaks.state_bytes as f64 / peaks.backlog as f64;
+        assert!(per_station < 32.0, "{per_station} B/station");
+        // A 256 KiB lane stays on the direct path: no staging buffers.
+        assert_eq!(peaks.stage_bytes, 0);
     }
 
     #[test]

@@ -357,13 +357,6 @@ impl<P> PacketTable<P> {
         (self.ids.capacity() + self.index_of.capacity()) * size_of::<u32>()
     }
 
-    /// Allocated bytes of the hot state lane. Reported separately from
-    /// [`lane_bytes`](Self::lane_bytes): protocol state size is the
-    /// protocol's footprint, not the engine's.
-    pub fn state_bytes(&self) -> usize {
-        self.states.capacity() * std::mem::size_of::<P>()
-    }
-
     /// Marks packet `id` as departed. Its dense entry lingers (and its
     /// state is dropped) until the next compaction.
     #[inline]
@@ -634,10 +627,8 @@ mod tests {
         // u64 states: the hot lane is 8 bytes each, bookkeeping 8 (two
         // u32 lanes). Capacities may exceed length, never undershoot it.
         assert!(t.lane_bytes() >= 100 * 8);
-        assert!(t.state_bytes() >= 100 * 8);
         let empty: PacketTable<[u8; 64]> = PacketTable::new();
         assert_eq!(empty.lane_bytes(), 0);
-        assert_eq!(empty.state_bytes(), 0);
     }
 
     #[test]

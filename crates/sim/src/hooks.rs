@@ -10,6 +10,81 @@ use crate::feedback::SlotOutcome;
 use crate::packet::PacketId;
 use crate::time::Slot;
 
+/// One phase of the sparse engine's slot loop, in loop order.
+///
+/// [`Hooks::on_phase`] receives a phase as the loop *leaves* it, so the
+/// work between two consecutive marks belongs to the later one. The
+/// [`slug`](Phase::slug)s are stable machine-readable keys (the phase
+/// names in `BENCH_engine.json` and the CI canaries).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Phase {
+    /// Next-event selection, gap accounting, and the wake-set advance.
+    Control,
+    /// Arrivals: the protocol factory, first wake draws and schedules.
+    Inject,
+    /// Draining the slot's bucket into the participant list.
+    Take,
+    /// Staged slots only: the radix sort of participants by address.
+    Permute,
+    /// Staged slots only: the resolve and state copy-in sweeps.
+    Gather,
+    /// `send_on_access` draws splitting senders from listeners.
+    Split,
+    /// The jam decision and slot outcome (all of an arrival-only slot
+    /// after its bucket drain).
+    Resolve,
+    /// The listeners' observation pass and contention update.
+    Observe,
+    /// The listeners' wake-delay draws.
+    Wake,
+    /// The listeners' wake-set pushes.
+    Sched,
+    /// Sender observations and reschedules.
+    Senders,
+    /// Staged slots only: the address-ordered state copy-back.
+    Scatter,
+    /// Retiring the winner, compaction, scratch capping, checkpoint.
+    Depart,
+}
+
+impl Phase {
+    /// Every phase, in loop order.
+    pub const ALL: [Phase; 13] = [
+        Phase::Control,
+        Phase::Inject,
+        Phase::Take,
+        Phase::Permute,
+        Phase::Gather,
+        Phase::Split,
+        Phase::Resolve,
+        Phase::Observe,
+        Phase::Wake,
+        Phase::Sched,
+        Phase::Senders,
+        Phase::Scatter,
+        Phase::Depart,
+    ];
+
+    /// The stable machine-readable key.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Phase::Control => "control",
+            Phase::Inject => "inject",
+            Phase::Take => "take",
+            Phase::Permute => "permute",
+            Phase::Gather => "gather",
+            Phase::Split => "split",
+            Phase::Resolve => "resolve",
+            Phase::Observe => "observe",
+            Phase::Wake => "wake",
+            Phase::Sched => "sched",
+            Phase::Senders => "senders",
+            Phase::Scatter => "scatter",
+            Phase::Depart => "depart",
+        }
+    }
+}
+
 /// One out-of-band snapshot of engine state, handed to
 /// [`Hooks::on_sample`] every [`Hooks::sample_period`] event slots.
 ///
@@ -49,8 +124,15 @@ pub struct EngineSample {
     pub contention: f64,
     /// Wake-structure heap footprint in bytes (0 where not tracked).
     pub footprint_bytes: u64,
-    /// Per-packet state-lane bytes (0 where not tracked).
+    /// Packet-table bookkeeping bytes: the id and remap lanes, *not* the
+    /// protocol-state lane, whose size is the protocol's (0 where not
+    /// tracked).
     pub state_bytes: u64,
+    /// Staged gather/scatter buffers in bytes: the stage plan plus the
+    /// per-slot state scratch (0 where not tracked). The engine's
+    /// per-station overhead is `footprint_bytes + state_bytes +
+    /// stage_bytes` over the backlog.
+    pub stage_bytes: u64,
 }
 
 impl EngineSample {
@@ -135,6 +217,17 @@ pub trait Hooks<P> {
     fn on_sample(&mut self, sample: &EngineSample) {
         let _ = sample;
     }
+
+    /// The sparse engine's slot loop just finished `phase`.
+    ///
+    /// Each event slot marks its phases in [`Phase`] order: `permute`,
+    /// `gather` and `scatter` only on staged slots, and an arrival-only
+    /// slot marks `control`, `inject`, `take`, `resolve`. Only the sparse
+    /// engine marks phases. The empty default compiles the marks away, so
+    /// implement this only to time the loop.
+    fn on_phase(&mut self, phase: Phase) {
+        let _ = phase;
+    }
 }
 
 /// The trivial hook set: observes nothing, costs nothing.
@@ -181,17 +274,38 @@ impl<P, A: Hooks<P>, B: Hooks<P>> Hooks<P> for Both<A, B> {
         self.1.on_gap(from, to, jammed);
     }
 
+    /// The gcd of both periods, so every multiple of either one is a
+    /// sample point; [`on_sample`](Hooks::on_sample) then forwards to each
+    /// side only on multiples of its own period.
     fn sample_period(&self) -> Option<u64> {
         match (self.0.sample_period(), self.1.sample_period()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
+            (Some(a), Some(b)) => Some(gcd(a, b)),
             (a, b) => a.or(b),
         }
     }
 
     fn on_sample(&mut self, sample: &EngineSample) {
-        self.0.on_sample(sample);
-        self.1.on_sample(sample);
+        let due =
+            |period: Option<u64>| period.is_some_and(|p| sample.event_slots.is_multiple_of(p));
+        if due(self.0.sample_period()) {
+            self.0.on_sample(sample);
+        }
+        if due(self.1.sample_period()) {
+            self.1.on_sample(sample);
+        }
     }
+
+    fn on_phase(&mut self, phase: Phase) {
+        self.0.on_phase(phase);
+        self.1.on_phase(phase);
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]
@@ -205,6 +319,7 @@ mod tests {
         observes: u32,
         slots: u32,
         gaps: u32,
+        phases: u32,
     }
 
     impl Hooks<u8> for Counter {
@@ -223,6 +338,9 @@ mod tests {
         fn on_gap(&mut self, _f: Slot, _t: Slot, _j: u64) {
             self.gaps += 1;
         }
+        fn on_phase(&mut self, _phase: Phase) {
+            self.phases += 1;
+        }
     }
 
     #[test]
@@ -233,10 +351,11 @@ mod tests {
         Hooks::<u8>::on_observe(&mut both, 0, PacketId(0), &0, &1);
         Hooks::<u8>::on_slot(&mut both, 0, &SlotOutcome::Empty);
         Hooks::<u8>::on_gap(&mut both, 0, 5, 1);
+        Hooks::<u8>::on_phase(&mut both, Phase::Control);
         for c in [&both.0, &both.1] {
             assert_eq!(
-                (c.injects, c.departs, c.observes, c.slots, c.gaps),
-                (1, 1, 1, 1, 1)
+                (c.injects, c.departs, c.observes, c.slots, c.gaps, c.phases),
+                (1, 1, 1, 1, 1, 1)
             );
         }
     }
@@ -279,33 +398,38 @@ mod tests {
             contention: 0.0,
             footprint_bytes: 0,
             state_bytes: 0,
+            stage_bytes: 0,
+        }
+    }
+
+    /// Drives `hooks` the way the engine does: a sample at every multiple
+    /// of the reported period over `event_slots` event slots.
+    fn drive_samples(hooks: &mut impl Hooks<u8>, event_slots: u64) {
+        let Some(period) = hooks.sample_period() else {
+            return;
+        };
+        for e in (period..=event_slots).step_by(period as usize) {
+            hooks.on_sample(&EngineSample {
+                event_slots: e,
+                ..zero_sample()
+            });
         }
     }
 
     #[test]
-    fn sample_period_defaults_off_and_both_takes_min() {
+    fn both_keeps_each_sides_sample_period() {
         assert_eq!(Hooks::<u8>::sample_period(&NoHooks), None);
-        let a = Sampler {
-            period: 64,
-            samples: 0,
-        };
-        let b = Sampler {
-            period: 16,
-            samples: 0,
-        };
-        let mut both = Both(a, b);
-        assert_eq!(Hooks::<u8>::sample_period(&both), Some(16));
-        Hooks::<u8>::on_sample(&mut both, &zero_sample());
-        assert_eq!((both.0.samples, both.1.samples), (1, 1));
-        // One-sided: the present period wins.
-        let one = Both(
-            NoHooks,
-            Sampler {
-                period: 8,
-                samples: 0,
-            },
-        );
+        let sampler = |period| Sampler { period, samples: 0 };
+        let mut both = Both(sampler(64), sampler(24));
+        assert_eq!(Hooks::<u8>::sample_period(&both), Some(8));
+        drive_samples(&mut both, 192);
+        assert_eq!((both.0.samples, both.1.samples), (3, 8));
+        // One-sided: the present period wins, and the side without one
+        // is never sampled.
+        let mut one = Both(NoHooks, sampler(8));
         assert_eq!(Hooks::<u8>::sample_period(&one), Some(8));
+        drive_samples(&mut one, 64);
+        assert_eq!(one.1.samples, 8);
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! | [`time`], [`packet`], [`feedback`] | model vocabulary |
 //! | [`protocol`] | [`Protocol`](protocol::Protocol) / [`SparseProtocol`](protocol::SparseProtocol) traits |
 //! | [`arrivals`], [`jamming`] | adversary strategies |
-//! | [`engine`] | shared [`EngineCore`](engine::EngineCore) + dense / sparse / grouped strategies |
+//! | [`engine`] | shared `EngineCore` + dense / sparse / grouped strategies |
 //! | [`scenario`] | declarative run descriptions + the canonical scenario registry |
 //! | [`metrics`] | totals, per-packet stats, trajectory series |
 //! | [`hooks`] | zero-cost analysis callbacks |

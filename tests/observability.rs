@@ -9,9 +9,10 @@
 //! The suite has three layers:
 //!
 //! 1. **On/off equivalence** — every `(registry scenario, channel model)`
-//!    combination is run twice, bare and with a [`FlightRecorder`]
-//!    attached, and the full-result FNV hashes (totals, per-packet table,
-//!    series, all f64s by bit pattern) must agree combo by combo.
+//!    combination is run twice, bare and with a [`FlightRecorder`] plus a
+//!    phase-mark counter attached, and the full-result FNV hashes (totals,
+//!    per-packet table, series, all f64s by bit pattern) must agree combo
+//!    by combo.
 //! 2. **Pinned grand hash** — the fold of all those per-combo hashes is
 //!    pinned to a recorded constant, so the *runs themselves* cannot drift
 //!    silently under cover of "both sides changed together".
@@ -23,6 +24,7 @@
 use lowsense::{LowSensing, Params};
 use lowsense_obs::{FlightRecorder, StallConfig, StallDetector, StallKind};
 use lowsense_sim::feedback::ChannelModel;
+use lowsense_sim::hooks::{Both, Hooks, Phase};
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::{scenarios, DynScenario};
 
@@ -112,29 +114,48 @@ fn bare_run(s: &DynScenario) -> RunResult {
     s.run_sparse(|_| LowSensing::new(Params::default()))
 }
 
-fn recorded_run(s: &DynScenario, rec: &mut FlightRecorder) -> RunResult {
-    s.run_sparse_hooked(|_| LowSensing::new(Params::default()), rec)
+/// Counts the sparse loop's phase marks.
+#[derive(Default)]
+struct PhaseMarks(u64);
+
+impl<P> Hooks<P> for PhaseMarks {
+    fn wants_observe(&self) -> bool {
+        false
+    }
+
+    fn on_phase(&mut self, _phase: Phase) {
+        self.0 += 1;
+    }
 }
 
 /// Layer 1: telemetry on vs off, combo by combo. Any inequality is the
-/// recorder perturbing the simulation — the one thing it must never do.
+/// recorder or the phase marks perturbing the simulation — the one thing
+/// they must never do.
 #[test]
 fn flight_recorder_never_perturbs_any_registry_run() {
     let mut sampled = 0u64;
+    let mut marks = 0u64;
     for (scenario, tag) in grid() {
         let off = bare_run(&scenario);
-        let mut rec = FlightRecorder::new(scenario.name(), 64, 256);
-        let on = recorded_run(&scenario, &mut rec);
+        let mut hooks = Both(
+            FlightRecorder::new(scenario.name(), 64, 256),
+            PhaseMarks::default(),
+        );
+        let on = scenario.run_sparse_hooked(|_| LowSensing::new(Params::default()), &mut hooks);
         assert_eq!(
             result_hash(&off),
             result_hash(&on),
-            "{} [{tag}]: attaching the flight recorder changed the run",
+            "{} [{tag}]: attaching the recorder and phase marks changed the run",
             scenario.name()
         );
+        let Both(rec, phase_marks) = hooks;
         sampled += rec.samples().len() as u64 + rec.dropped();
+        marks += phase_marks.0;
     }
-    // Equivalence must not be vacuous: the recorder really was sampling.
+    // Equivalence must not be vacuous: the recorder really was sampling,
+    // and the loop really was marking phases.
     assert!(sampled > 0, "no combo produced a single flight sample");
+    assert!(marks > 0, "no combo produced a single phase mark");
 }
 
 /// Layer 2: the grand fold of every per-combo hash, pinned. If this moves
