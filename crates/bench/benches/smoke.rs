@@ -14,7 +14,7 @@
 //! and the per-phase shares); schema 5 adds the million-station capacity
 //! tier `sparse_lsb_1M` (n = 10^6 batch-injected, short horizon) and a
 //! `capacity` section with its measured bytes-per-station budget — engine
-//! overhead only (wake wheel + table bookkeeping lanes + staging buffers),
+//! overhead only (wake wheel + table bookkeeping lanes + per-slot buffers),
 //! with protocol state reported separately; schema 6 adds the
 //! channel-model smoke entry `sparse_lsb_16384_nocd` (the same
 //! LSB batch on the no-collision-detection channel, horizon capped because
@@ -23,7 +23,8 @@
 //! (engine + phases entries, tracking the scaling curve between 16384 and
 //! 1M), grows the phase shares from 10 to 13 slugs (the staged
 //! gather/scatter path's `permute`/`gather`/`scatter`), and breaks the
-//! staging buffers out as `stage_bytes` in the capacity section.
+//! engine's per-slot buffers (participant lists, positions, wakes, stage
+//! plan and state scratch) out as `stage_bytes` in the capacity section.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop

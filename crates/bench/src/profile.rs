@@ -111,17 +111,18 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 /// slots).
 ///
 /// "Engine overhead" is the wake wheel's footprint, the packet table's
-/// bookkeeping lanes (ids + remap) and the staging buffers — everything
+/// bookkeeping lanes (ids + remap) and the per-slot buffers — everything
 /// the engine spends *per station* beyond the protocol state itself, whose
 /// size is the protocol's contract (`LowSensing` alone is 64 B).
 #[derive(Default)]
 pub struct CapacityProbe {
     /// Peak engine-overhead bytes.
     pub peak_engine_bytes: u64,
-    /// Peak bytes in the staged gather/scatter machinery alone (the stage
-    /// plan plus the per-slot state scratch) — a sub-slice of
-    /// [`peak_engine_bytes`](Self::peak_engine_bytes), broken out so the
-    /// staging cost stays visible in `BENCH_engine.json`.
+    /// Peak bytes in the engine's per-slot buffers alone (participant
+    /// lists, positions, wakes, the stage plan and the staged state
+    /// scratch) — a sub-slice of
+    /// [`peak_engine_bytes`](Self::peak_engine_bytes), broken out so their
+    /// cost stays visible in `BENCH_engine.json`.
     pub peak_stage_bytes: u64,
     /// Largest live-station count seen at any sample point.
     pub peak_live: u64,

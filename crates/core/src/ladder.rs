@@ -31,6 +31,7 @@
 //! cache line. Interned ladders are deliberately leaked; the cache is
 //! bounded by the number of distinct parameter sets a process touches.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -247,27 +248,37 @@ impl std::fmt::Debug for Ladder {
 /// are leaked intentionally; the cache is bounded by the distinct parameter
 /// sets a process touches (a sweep of 100 parameter points costs a few MiB
 /// once, not per packet).
+///
+/// A batch constructs every packet with the same key, so a one-entry
+/// per-thread cache answers repeat calls without the process-wide lock or
+/// hash. It is filled only from the process-wide map, so every thread
+/// still gets the one interned pointer per key.
 pub fn shared(params: Params, anchor_w: f64) -> &'static Ladder {
     type Key = (u64, u64, u64);
     static CACHE: OnceLock<Mutex<HashMap<Key, &'static Ladder>>> = OnceLock::new();
+    thread_local! {
+        static LAST: Cell<Option<(Key, &'static Ladder)>> = const { Cell::new(None) };
+    }
     let anchor_w = anchor_w.max(params.w_min());
     let key = (
         params.c().to_bits(),
         params.w_min().to_bits(),
         anchor_w.to_bits(),
     );
+    if let Some((last, ladder)) = LAST.get() {
+        if last == key {
+            return ladder;
+        }
+    }
     let mut cache = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("ladder cache poisoned");
-    match cache.get(&key) {
-        Some(ladder) => ladder,
-        None => {
-            let ladder: &'static Ladder = Box::leak(Box::new(Ladder::build(params, anchor_w)));
-            cache.insert(key, ladder);
-            ladder
-        }
-    }
+    let ladder = *cache
+        .entry(key)
+        .or_insert_with(|| Box::leak(Box::new(Ladder::build(params, anchor_w))));
+    LAST.set(Some((key, ladder)));
+    ladder
 }
 
 #[cfg(test)]
@@ -366,6 +377,22 @@ mod tests {
         assert!(!std::ptr::eq(a, d));
         let e = shared(Params::new(1.0, 4.0).unwrap(), 4.0);
         assert!(!std::ptr::eq(a, e));
+        // A/B/A: switching keys on one thread neither mixes ladders up nor
+        // re-interns the first one.
+        assert!(std::ptr::eq(shared(Params::default(), 64.0), d));
+        assert!(std::ptr::eq(shared(Params::default(), 4.0), a));
+        assert!(std::ptr::eq(shared(Params::default(), 64.0), d));
+        // Another thread, with its own per-thread cache, gets the same
+        // interned pointers.
+        let (a2, d2) = std::thread::spawn(|| {
+            let a2 = shared(Params::default(), 4.0) as *const Ladder as usize;
+            let d2 = shared(Params::default(), 64.0) as *const Ladder as usize;
+            (a2, d2)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(a2, a as *const Ladder as usize);
+        assert_eq!(d2, d as *const Ladder as usize);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   `O(1)` amortized out to million-station horizons, per-packet state
 //!   lives in an epoch-compacted dense table ([`table`]) split into
 //!   per-field lanes, silent slots are skipped exactly, and high-fanout
-//!   slots over cache-busting state lanes run the address-ordered staged
-//!   gather/scatter path ([`stage`]). Slots are processed in insertion
-//!   order — the staging permutation reorders memory traffic only, never
-//!   the processing order.
+//!   slots over cache-busting state lanes run the staged gather/scatter
+//!   path ([`stage`]). Slots are processed in insertion order on either
+//!   path — staging moves memory traffic into prefetched sweeps, never the
+//!   processing order.
 //! * [`sparse_reference`] — the retained heap-based sparse loop, keyed
 //!   `(slot, insertion_seq)`; the bit-for-bit equivalence oracle for
 //!   [`sparse`].

@@ -33,13 +33,13 @@
 //! the **staged** path — taken when the participant set is large *and* the
 //! state lane has outgrown the cache
 //! ([`staging_applies`]) — the
-//! engine radix-sorts the participants by dense address, **gathers** their
-//! states into prefetched contiguous scratch sweeps, runs the same
-//! passes against the scratch in canonical insertion order via the inverse
-//! permutation, and **scatters** the mutated states back before the depart
-//! path reads the table (see [`stage`](crate::engine::stage)). Either way,
-//! handles never span a compaction: the engine compacts only at
-//! end-of-slot, after a depart.
+//! engine **gathers** the participants' states, in insertion order, into a
+//! contiguous scratch with two prefetched sweeps, runs the same passes
+//! against the scratch (participant `k` at scratch position `k`), and
+//! **scatters** the mutated states back before the depart path reads the
+//! table (see [`stage`](crate::engine::stage)). Either way, handles never
+//! span a compaction: the engine compacts only at end-of-slot, after a
+//! depart.
 //!
 //! The loop marks the end of each of its thirteen phases through
 //! [`Hooks::on_phase`] (see [`Phase`]). Hook sets that leave the default
@@ -211,8 +211,8 @@ where
 /// The slot's listener (observe + wake) and sender passes, generic over
 /// the [`SlotArena`] the participant states live in: the packet table on
 /// the direct path (a position is a dense-lane index), the staged scratch
-/// on the staged path (a position is a scratch index, routed through the
-/// stage plan's inverse permutation by the caller). Both paths are this
+/// on the staged path (a position is the participant's insertion
+/// position, which is its scratch index). Both paths are this
 /// one function monomorphized, so every RNG draw, observation, hook call,
 /// and contention accumulation happens in the same canonical insertion
 /// order on either path — bit-identity between the paths is by
@@ -384,6 +384,81 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     hooks.on_phase(Phase::Senders);
 }
 
+/// The sparse loop's per-slot buffers: refilled every event slot, kept
+/// from one slot to the next, and shrunk at the end of a slot relative to
+/// that slot's demand ([`shrink`](Self::shrink)).
+struct SlotBuffers<P> {
+    /// The slot's participants, in insertion order (the (slot, seq)-keyed
+    /// reference heap's pop order).
+    participants: Vec<u32>,
+    senders: Vec<PacketId>,
+    listeners: Vec<PacketId>,
+    /// Per-slot arena positions, parallel to `senders` / `listeners`:
+    /// dense indices on the direct path (the id → index remap is paid once
+    /// in the split pass), insertion positions — which are scratch indices
+    /// — on the staged path. The observe and wake passes index the slot's
+    /// arena directly either way.
+    senders_pos: Vec<u32>,
+    listeners_pos: Vec<u32>,
+    /// Resolved wake slots, parallel to `listeners`, handed from the
+    /// wake-draw pass to the schedule pass (see `slot_passes`).
+    wakes: Vec<Option<Slot>>,
+    /// Staged slots only (see crate::engine::stage): the participants'
+    /// handles and the contiguous scratch of their states.
+    stage: StagePlan,
+    scratch: Vec<P>,
+}
+
+impl<P> SlotBuffers<P> {
+    fn new() -> Self {
+        SlotBuffers {
+            participants: Vec::new(),
+            senders: Vec::new(),
+            listeners: Vec::new(),
+            senders_pos: Vec::new(),
+            listeners_pos: Vec::new(),
+            wakes: Vec::new(),
+            stage: StagePlan::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Allocated bytes across every buffer: a sample's `stage_bytes`.
+    fn bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.participants)
+            + bytes(&self.senders)
+            + bytes(&self.listeners)
+            + bytes(&self.senders_pos)
+            + bytes(&self.listeners_pos)
+            + bytes(&self.wakes)
+            + self.stage.footprint_bytes()
+            + bytes(&self.scratch)
+    }
+
+    /// The end-of-slot shrink: every buffer keeps up to twice
+    /// `max(SCRATCH_CAP, participants)` entries, so a run of dense slots
+    /// reuses its allocations while a burst followed by a quiet slot still
+    /// gives its memory back.
+    fn shrink(&mut self) {
+        let keep = SCRATCH_CAP.max(self.participants.len());
+        // The scratch is dead once the scatter ran. Left full, a direct
+        // slot would keep it at the last staged slot's length, below which
+        // no shrink can go.
+        self.scratch.clear();
+        cap_scratch(&mut self.participants, keep);
+        cap_scratch(&mut self.senders, keep);
+        cap_scratch(&mut self.listeners, keep);
+        cap_scratch(&mut self.senders_pos, keep);
+        cap_scratch(&mut self.listeners_pos, keep);
+        cap_scratch(&mut self.wakes, keep);
+        cap_scratch(&mut self.scratch, keep);
+        self.stage.cap(keep);
+    }
+}
+
 /// The sparse loop body, generic over the wake set. Every ordering-visible
 /// statement is shared by both instantiations, so agreement between
 /// [`run_sparse`] and [`run_sparse_flat`] pins exactly the queues' drain
@@ -416,23 +491,7 @@ where
     let mut active_count: u64 = 0;
     let mut contention = 0.0f64;
 
-    let mut participants: Vec<u32> = Vec::new();
-    let mut senders: Vec<PacketId> = Vec::new();
-    let mut listeners: Vec<PacketId> = Vec::new();
-    // Per-slot arena positions, parallel to `senders` / `listeners`: dense
-    // indices on the direct path (the id → index remap is paid once in the
-    // split pass), scratch indices on the staged path. The observe and
-    // wake passes index the slot's arena directly either way.
-    let mut senders_pos: Vec<u32> = Vec::new();
-    let mut listeners_pos: Vec<u32> = Vec::new();
-    // Resolved wake slots, parallel to `listeners`, handed from the
-    // wake-draw pass to the schedule pass (see `slot_passes`).
-    let mut wakes: Vec<Option<Slot>> = Vec::new();
-    // Staged gather/scatter state (see crate::engine::stage): the address
-    // permutation plan and the contiguous per-slot state scratch. Only
-    // touched for slots past the staging gate.
-    let mut stage = StagePlan::new();
-    let mut scratch: Vec<P> = Vec::new();
+    let mut bufs: SlotBuffers<P> = SlotBuffers::new();
 
     // First slot not yet accounted.
     let mut now: Slot = 0;
@@ -456,10 +515,8 @@ where
         contention: f64,
         queue: &Q,
         packets: &PacketTable<P>,
-        stage: &StagePlan,
-        scratch: &Vec<P>,
+        bufs: &SlotBuffers<P>,
     ) -> EngineSample {
-        let stage_bytes = stage.footprint_bytes() + scratch.capacity() * std::mem::size_of::<P>();
         EngineSample {
             slot: te,
             event_slots,
@@ -476,7 +533,7 @@ where
             contention,
             footprint_bytes: queue.footprint_bytes() as u64,
             state_bytes: packets.lane_bytes() as u64,
-            stage_bytes: stage_bytes as u64,
+            stage_bytes: bufs.bytes() as u64,
         }
     }
 
@@ -542,6 +599,9 @@ where
                 break;
             }
             core.consume_arrival();
+            // One reservation per arrival event: a large batch grows each
+            // table lane once instead of doubling its way up.
+            packets.reserve(count as usize);
             for _ in 0..count {
                 let id = core.note_inject(te);
                 let mut p = factory(&mut core.rng);
@@ -558,11 +618,22 @@ where
         }
         hooks.on_phase(Phase::Inject);
 
+        let SlotBuffers {
+            participants,
+            senders,
+            listeners,
+            senders_pos,
+            listeners_pos,
+            wakes,
+            stage,
+            scratch,
+        } = &mut bufs;
+
         // Collect every packet accessing the channel in slot te, in
         // insertion order (the (slot, seq)-keyed reference heap's pop
         // order).
         participants.clear();
-        queue.take(te, &mut participants);
+        queue.take(te, participants);
         hooks.on_phase(Phase::Take);
 
         if participants.is_empty() {
@@ -585,8 +656,7 @@ where
                         contention,
                         &queue,
                         &packets,
-                        &stage,
-                        &scratch,
+                        &bufs,
                     ));
                 }
             }
@@ -601,12 +671,11 @@ where
         // dense handle exactly once and later passes index the hot state
         // lane through it. Past the gate — a high-fanout slot over a
         // cache-busting state lane — the slot is staged: the participants'
-        // states are gathered into `scratch` in ascending dense-address
-        // order (one streaming sweep instead of a miss per packet), the
-        // split and every later pass run against the scratch in canonical
-        // insertion order via the plan's inverse permutation, and the
-        // mutated states are scattered back before the depart path reads
-        // the table. Either way no handle survives past this slot's
+        // states are gathered into `scratch` in insertion order (prefetched
+        // sweeps instead of a dependent miss per packet), the split and
+        // every later pass read participant k at scratch position k, and
+        // the mutated states are scattered back before the depart path
+        // reads the table. Either way no handle survives past this slot's
         // (potential) end-of-slot compaction.
         let staged = staging_applies(
             participants.len(),
@@ -617,28 +686,23 @@ where
         senders_pos.clear();
         listeners_pos.clear();
         if staged {
-            // Ordering and gather draw no randomness, so the RNG stream
+            // Recording and gather draw no randomness, so the RNG stream
             // starts exactly where the direct path's split would start it.
-            // `build_order` sorts the ids in L1 (id order is dense-address
-            // order); `gather` resolves and copies in two prefetched
-            // ascending sweeps.
-            stage.build_order(&participants);
+            stage.build_order(participants);
             hooks.on_phase(Phase::Permute);
-            stage.gather(&packets, &mut scratch);
+            stage.gather(&packets, scratch);
             hooks.on_phase(Phase::Gather);
-            let pos_of = stage.pos_of();
-            for (k, &id) in participants.iter().enumerate() {
-                let pos = pos_of[k];
-                if scratch[pos as usize].send_on_access(&mut core.rng) {
+            for (k, (&id, p)) in participants.iter().zip(scratch.iter_mut()).enumerate() {
+                if p.send_on_access(&mut core.rng) {
                     senders.push(PacketId(id));
-                    senders_pos.push(pos);
+                    senders_pos.push(k as u32);
                 } else {
                     listeners.push(PacketId(id));
-                    listeners_pos.push(pos);
+                    listeners_pos.push(k as u32);
                 }
             }
         } else {
-            for &id in &participants {
+            for &id in participants.iter() {
                 let d = packets.resolve(PacketId(id));
                 if packets.state_at_mut(d).send_on_access(&mut core.rng) {
                     senders.push(PacketId(id));
@@ -651,18 +715,18 @@ where
         }
         hooks.on_phase(Phase::Split);
 
-        let jam = core.jam_decision(te, active_count, contention, &senders);
-        let outcome = core.resolve(te, jam, &senders);
+        let jam = core.jam_decision(te, active_count, contention, senders);
+        let outcome = core.resolve(te, jam, senders);
         hooks.on_slot(te, &outcome);
         hooks.on_phase(Phase::Resolve);
 
         // The observe/wake/sender passes, against whichever arena holds
         // this slot's states (see `slot_passes`). On the staged path the
-        // mutated scratch is scattered back through the address-sorted
-        // handles before the winner's depart block below reads the table.
+        // mutated scratch is scattered back through the plan's handles
+        // before the winner's depart block below reads the table.
         if staged {
             slot_passes(
-                &mut scratch,
+                scratch,
                 &mut core,
                 &mut queue,
                 hooks,
@@ -670,13 +734,13 @@ where
                 &outcome,
                 model,
                 &mut contention,
-                &senders,
-                &senders_pos,
-                &listeners,
-                &listeners_pos,
-                &mut wakes,
+                senders,
+                senders_pos,
+                listeners,
+                listeners_pos,
+                wakes,
             );
-            packets.scatter_from(stage.handles(), &scratch);
+            packets.scatter_from(stage.handles(), scratch);
             hooks.on_phase(Phase::Scatter);
         } else {
             slot_passes(
@@ -688,11 +752,11 @@ where
                 &outcome,
                 model,
                 &mut contention,
-                &senders,
-                &senders_pos,
-                &listeners,
-                &listeners_pos,
-                &mut wakes,
+                senders,
+                senders_pos,
+                listeners,
+                listeners_pos,
+                wakes,
             );
         }
 
@@ -713,17 +777,10 @@ where
             packets.maybe_compact();
         }
 
-        // A pathological collision burst can balloon the per-slot scratch;
-        // give the excess back so one bad slot does not pin memory for the
-        // rest of the run.
-        cap_scratch(&mut participants, SCRATCH_CAP);
-        cap_scratch(&mut senders, SCRATCH_CAP);
-        cap_scratch(&mut listeners, SCRATCH_CAP);
-        cap_scratch(&mut senders_pos, SCRATCH_CAP);
-        cap_scratch(&mut listeners_pos, SCRATCH_CAP);
-        cap_scratch(&mut wakes, SCRATCH_CAP);
-        cap_scratch(&mut scratch, SCRATCH_CAP);
-        stage.cap();
+        // A burst can balloon the per-slot buffers; give the excess back
+        // once slots get smaller, so one bad slot does not pin memory for
+        // the rest of the run.
+        bufs.shrink();
 
         core.checkpoint(te, active_count, contention);
         event_slots += 1;
@@ -737,8 +794,7 @@ where
                     contention,
                     &queue,
                     &packets,
-                    &stage,
-                    &scratch,
+                    &bufs,
                 ));
             }
         }
@@ -1008,7 +1064,7 @@ mod tests {
             stage_bytes: u64,
             backlog: u64,
         }
-        impl Hooks<Wide> for Peaks {
+        impl<P> Hooks<P> for Peaks {
             fn sample_period(&self) -> Option<u64> {
                 Some(1)
             }
@@ -1031,8 +1087,86 @@ mod tests {
         assert_eq!(peaks.backlog, 4096);
         let per_station = peaks.state_bytes as f64 / peaks.backlog as f64;
         assert!(per_station < 32.0, "{per_station} B/station");
-        // A 256 KiB lane stays on the direct path: no staging buffers.
-        assert_eq!(peaks.stage_bytes, 0);
+        // A 256 KiB lane stays on the direct path, so stage_bytes holds the
+        // per-slot lists but no stage plan or state scratch: the same run
+        // with 8-byte states (same draws) samples exactly the same stage
+        // bytes, which a protocol-sized scratch could not.
+        let mut narrow = Peaks::default();
+        run_sparse(&cfg, Batch::new(4096), NoJam, |_| Fixed(0.01), &mut narrow);
+        assert!(peaks.stage_bytes > 0);
+        assert_eq!(peaks.stage_bytes, narrow.stage_bytes);
+    }
+
+    #[test]
+    fn staged_burst_buffers_shrink_back_on_quiet_slots() {
+        /// 64 bytes: all 70k packets access in their injection slot (a
+        /// staged slot over a 4.5 MB lane), then sleep ~10^5 slots
+        /// between accesses, so every later event slot is nearly empty.
+        #[derive(Clone)]
+        struct Burst {
+            woke: bool,
+            p: [f64; 7],
+        }
+        impl Protocol for Burst {
+            fn intent(&mut self, _rng: &mut SimRng) -> Intent {
+                Intent::Send
+            }
+            fn observe(&mut self, _obs: &Observation) {}
+            fn send_probability(&self) -> f64 {
+                self.p[0]
+            }
+            fn next_wake(&mut self, rng: &mut SimRng) -> Option<u64> {
+                if std::mem::replace(&mut self.woke, true) {
+                    Some(geometric(rng, self.p[0]))
+                } else {
+                    Some(0)
+                }
+            }
+        }
+        impl SparseProtocol for Burst {
+            fn send_on_access(&mut self, rng: &mut SimRng) -> bool {
+                rng.bernoulli(0.5)
+            }
+        }
+        struct StageBytes(Vec<u64>);
+        impl Hooks<Burst> for StageBytes {
+            fn wants_observe(&self) -> bool {
+                false
+            }
+            fn sample_period(&self) -> Option<u64> {
+                Some(1)
+            }
+            fn on_sample(&mut self, s: &EngineSample) {
+                self.0.push(s.stage_bytes);
+            }
+        }
+        const N: u64 = 70_000;
+        assert_eq!(std::mem::size_of::<Burst>(), 64);
+        assert!(staging_applies(N as usize, N as usize * 64));
+        let mut sampled = StageBytes(Vec::new());
+        let cfg = SimConfig::new(12).limits(Limits::until_slot(2_000));
+        run_sparse(
+            &cfg,
+            Batch::new(N),
+            NoJam,
+            |_| Burst {
+                woke: false,
+                p: [1e-5; 7],
+            },
+            &mut sampled,
+        );
+        // What the rule lets a slot with at most SCRATCH_CAP participants
+        // keep: twice SCRATCH_CAP entries in each buffer — participants,
+        // senders, listeners, both position lists, the plan's ids and
+        // handles (4 B each), the wakes, and the 64-byte state scratch.
+        let per_entry = 7 * 4 + std::mem::size_of::<Option<Slot>>() + std::mem::size_of::<Burst>();
+        let bound = (2 * SCRATCH_CAP * per_entry) as u64;
+        let (burst, quiet) = sampled.0.split_first().expect("samples");
+        assert!(*burst >= N * 64, "burst slot holds its scratch: {burst}");
+        assert!(quiet.len() > 100, "{} quiet event slots", quiet.len());
+        for (k, &bytes) in quiet.iter().enumerate() {
+            assert!(bytes <= bound, "quiet slot {k}: {bytes} > {bound}");
+        }
     }
 
     #[test]

@@ -250,18 +250,17 @@ impl CoarseLevel {
     }
 }
 
-/// Retained capacity (in events) of the engine-side per-slot scratch
-/// vectors (participants / senders / listeners). Sized to hold the largest
-/// cohorts ordinary workloads produce so the shrink never fires on the hot
-/// path; see [`cap_scratch`].
+/// Floor (in entries) of what the sparse engine's per-slot buffers keep
+/// between slots: a slot with `n` participants calls [`cap_scratch`] with
+/// `max(SCRATCH_CAP, n)`, so cohorts of a few thousand, which every
+/// ordinary workload stays under, never shrink a buffer at all.
 pub(crate) const SCRATCH_CAP: usize = 4096;
 
-/// Releases the excess capacity of a per-slot scratch vector after a
-/// pathological burst.
+/// Releases the excess capacity of a reusable buffer.
 ///
 /// Shrinks only when capacity exceeds *twice* `cap` — the hysteresis keeps
 /// a workload that legitimately hovers around `cap` from reallocating every
-/// slot — and shrinks back to `cap`, not zero, so the steady state keeps
+/// time — and shrinks back to `cap`, not zero, so the steady state keeps
 /// its warm allocation.
 #[inline]
 pub(crate) fn cap_scratch<T>(v: &mut Vec<T>, cap: usize) {
@@ -1149,16 +1148,25 @@ mod tests {
 
     #[test]
     fn cap_scratch_shrinks_only_past_hysteresis() {
-        let mut v: Vec<u32> = Vec::with_capacity(10 * SCRATCH_CAP);
-        cap_scratch(&mut v, SCRATCH_CAP);
+        // The engine's demand-relative rule: a slot of `n` participants
+        // keeps up to twice max(SCRATCH_CAP, n) entries per buffer.
+        let keep = |n: usize| SCRATCH_CAP.max(n);
+        let burst = 10 * SCRATCH_CAP;
+        let mut v: Vec<u32> = Vec::with_capacity(burst);
+        // Dense slots of similar size reuse the burst's buffer.
+        cap_scratch(&mut v, keep(burst));
+        cap_scratch(&mut v, keep(burst * 3 / 4));
+        assert_eq!(v.capacity(), burst, "dense run: untouched");
+        // A quiet slot returns the excess, down to the floor.
+        cap_scratch(&mut v, keep(10));
         assert!(v.capacity() <= SCRATCH_CAP, "capacity {}", v.capacity());
         let mut warm: Vec<u32> = Vec::with_capacity(2 * SCRATCH_CAP);
-        cap_scratch(&mut warm, SCRATCH_CAP);
+        cap_scratch(&mut warm, keep(10));
         assert_eq!(warm.capacity(), 2 * SCRATCH_CAP, "within band: untouched");
         // Live entries survive a shrink.
         let mut live: Vec<u32> = Vec::with_capacity(3 * SCRATCH_CAP);
         live.extend(0..10);
-        cap_scratch(&mut live, SCRATCH_CAP);
+        cap_scratch(&mut live, keep(10));
         assert_eq!(live, (0..10).collect::<Vec<_>>());
     }
 }

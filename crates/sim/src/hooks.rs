@@ -24,7 +24,9 @@ pub enum Phase {
     Inject,
     /// Draining the slot's bucket into the participant list.
     Take,
-    /// Staged slots only: the radix sort of participants by address.
+    /// Staged slots only: recording the participant ids in the stage plan,
+    /// one sequential copy. (No permutation happens any more; the slug is
+    /// kept so the phase keys of `BENCH_engine.json` stay stable.)
     Permute,
     /// Staged slots only: the resolve and state copy-in sweeps.
     Gather,
@@ -41,9 +43,10 @@ pub enum Phase {
     Sched,
     /// Sender observations and reschedules.
     Senders,
-    /// Staged slots only: the address-ordered state copy-back.
+    /// Staged slots only: the state copy-back sweep.
     Scatter,
-    /// Retiring the winner, compaction, scratch capping, checkpoint.
+    /// Retiring the winner, compaction, the per-slot buffers' end-of-slot
+    /// shrink, checkpoint.
     Depart,
 }
 
@@ -128,10 +131,11 @@ pub struct EngineSample {
     /// protocol-state lane, whose size is the protocol's (0 where not
     /// tracked).
     pub state_bytes: u64,
-    /// Staged gather/scatter buffers in bytes: the stage plan plus the
-    /// per-slot state scratch (0 where not tracked). The engine's
-    /// per-station overhead is `footprint_bytes + state_bytes +
-    /// stage_bytes` over the backlog.
+    /// Per-slot buffers in bytes: the participant, sender and listener
+    /// lists, their position vectors, the wake buffer, the stage plan and
+    /// the staged state scratch, all kept from slot to slot (0 where not
+    /// tracked). The engine's per-station overhead is `footprint_bytes +
+    /// state_bytes + stage_bytes` over the backlog.
     pub stage_bytes: u64,
 }
 

@@ -608,7 +608,7 @@ pub mod scenarios {
     /// thousand-packet participant sets. With `n` large enough that the
     /// state lane spills past the staged gather/scatter gate (see
     /// [`staging_applies`](crate::engine::stage::staging_applies)), the
-    /// sparse engines run the address-sorted staged path while the heap
+    /// sparse engines run the staged gather/scatter path while the heap
     /// reference runs its unstaged per-element loop — the scenario the
     /// three-way equivalence suite uses to pin the two paths against each
     /// other. Not part of [`registry`]: at staging-relevant sizes it is too

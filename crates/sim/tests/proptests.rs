@@ -5,6 +5,7 @@
 //! agree with per-element lane access.
 
 use lowsense_sim::engine::table::PacketTable;
+use lowsense_sim::engine::StagePlan;
 use lowsense_sim::packet::PacketId;
 
 use lowsense_sim::arrivals::{AdversarialQueuing, ArrivalProcess, Placement, Trace};
@@ -295,12 +296,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The staged gather/scatter primitives agree exactly with per-element
-    /// lane access: for an arbitrary live set (mid-slot departures
-    /// included), an arbitrary gather permutation over an arbitrary cohort,
-    /// and across a compaction boundary, gather → mutate → scatter leaves
-    /// the table bit-identical to the same mutations applied one lane at a
-    /// time through `state_at_mut` on a twin table.
+    /// The staged gather/scatter primitives the engine ships agree exactly
+    /// with per-element lane access: for an arbitrary live set (mid-slot
+    /// departures included), an arbitrary participant order over an
+    /// arbitrary cohort, and across a compaction boundary, `build_order` →
+    /// `gather` → mutate → `scatter_from` stages participant `j` at
+    /// position `j` and leaves the table bit-identical to the same
+    /// mutations applied one lane at a time through `state_at_mut` on a
+    /// twin table.
     #[test]
     fn gather_scatter_matches_per_element_access(
         n in 1usize..120,
@@ -335,13 +338,14 @@ proptest! {
         let take_n = ((survivors.len() as f64) * frac).round() as usize;
         let cohort = &survivors[..take_n.min(survivors.len())];
 
-        let handles: Vec<_> = cohort
-            .iter()
-            .map(|&i| staged.resolve(PacketId(i as u32)))
-            .collect();
+        let ids: Vec<u32> = cohort.iter().map(|&i| i as u32).collect();
+        let mut plan = StagePlan::new();
         let mut scratch: Vec<u64> = Vec::new();
-        staged.gather_into(&handles, &mut scratch);
+        plan.build_order(&ids);
+        plan.gather(&staged, &mut scratch);
+        prop_assert_eq!(plan.handles().len(), cohort.len());
         for (j, &i) in cohort.iter().enumerate() {
+            prop_assert_eq!(plan.handles()[j], staged.resolve(PacketId(i as u32)));
             prop_assert_eq!(scratch[j], *direct.state(PacketId(i as u32)));
         }
         // The same mutation through both routes: contiguous scratch on the
@@ -354,7 +358,7 @@ proptest! {
             let p = direct.state_at_mut(d);
             *p = p.wrapping_mul(31).wrapping_add(j as u64);
         }
-        staged.scatter_from(&handles, &scratch);
+        staged.scatter_from(plan.handles(), &scratch);
         for &i in &survivors {
             prop_assert_eq!(
                 staged.state(PacketId(i as u32)),
@@ -363,14 +367,12 @@ proptest! {
         }
 
         // Across the compaction boundary: compact only the staged table
-        // (old handles die with the epoch; fresh ones re-resolve), then
-        // round-trip the full survivor set once more and compare.
+        // (old handles die with the epoch; the reused plan re-resolves),
+        // then round-trip the full survivor set once more and compare.
         staged.compact();
-        let handles: Vec<_> = survivors
-            .iter()
-            .map(|&i| staged.resolve(PacketId(i as u32)))
-            .collect();
-        staged.gather_into(&handles, &mut scratch);
+        let ids: Vec<u32> = survivors.iter().map(|&i| i as u32).collect();
+        plan.build_order(&ids);
+        plan.gather(&staged, &mut scratch);
         for (j, s) in scratch.iter_mut().enumerate() {
             *s ^= 0x9e37_79b9_7f4a_7c15 ^ j as u64;
         }
@@ -379,7 +381,7 @@ proptest! {
             let p = direct.state_at_mut(d);
             *p ^= 0x9e37_79b9_7f4a_7c15 ^ j as u64;
         }
-        staged.scatter_from(&handles, &scratch);
+        staged.scatter_from(plan.handles(), &scratch);
         for &i in &survivors {
             prop_assert_eq!(
                 staged.state(PacketId(i as u32)),
