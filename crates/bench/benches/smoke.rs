@@ -24,7 +24,9 @@
 //! 1M), grows the phase shares from 10 to 13 slugs (the staged
 //! gather/scatter path's `permute`/`gather`/`scatter`), and breaks the
 //! engine's per-slot buffers (participant lists, positions, wakes, stage
-//! plan and state scratch) out as `stage_bytes` in the capacity section.
+//! plan and state scratch) out as `stage_bytes` in the capacity section;
+//! schema 8 moves the mid tier to `sparse_lsb_300k`, since `LowSensing`
+//! shrank to 16 B and 100k states no longer clear the 4 MiB staging gate.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop
@@ -33,7 +35,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "lowsense-bench-engine/7",
+//!   "schema": "lowsense-bench-engine/8",
 //!   "engines": { "<name>": { "slots": N, "seconds": S, "slots_per_sec": R,
 //!                            "accesses": A, "accesses_per_sec": Q } },
 //!   "campaign": { "<name>": { "cells": C, "runs": U, "seconds": S,
@@ -62,6 +64,7 @@ use lowsense::{LowSensing, Params};
 use lowsense_baselines::{CjpConfig, CjpMwu};
 use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, SmokeProfile};
 use lowsense_experiments::campaigns;
+use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 use lowsense_sim::hooks::Phase;
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
@@ -73,9 +76,10 @@ const REPS: u64 = 5;
 const CAP_STATIONS: u64 = 1_000_000;
 const CAP_HORIZON: u64 = 100_000;
 /// The mid tier between the 16384 drain and the 1M capacity tier: first
-/// point past the staged gather/scatter gate (6.4 MB state lane), same
-/// horizon cap as the 1M tier so cyc/access figures are comparable.
-const MID_STATIONS: u64 = 100_000;
+/// point past the staged gather/scatter gate (a 4.8 MB lane of 16 B
+/// states), same horizon cap as the 1M tier so cyc/access figures are
+/// comparable.
+const MID_STATIONS: u64 = 300_000;
 /// Fewer reps at capacity scale — one warm-up plus two measured seeds.
 const CAP_REPS: u64 = 2;
 // Benches run with CWD = the package dir; anchor the report at the
@@ -126,6 +130,14 @@ fn measure(name: &'static str, run: impl FnMut(u64) -> RunResult) -> Sample {
 }
 
 fn main() {
+    // The mid tier exists to profile the staged path (CI checks that its
+    // staged phases accrue): fail here, before any timing, if a smaller
+    // protocol state drops its lane under the gate.
+    let mid_lane = MID_STATIONS as usize * std::mem::size_of::<LowSensing>();
+    assert!(
+        mid_lane >= STAGE_MIN_LANE_BYTES,
+        "mid tier lane {mid_lane} B is under the staging gate"
+    );
     let samples = vec![
         measure("dense_lsb_512", |seed| {
             scenarios::batch_drain(512)
@@ -176,11 +188,11 @@ fn main() {
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
         }),
-        // The mid tier: 10^5 stations, the first smoke point whose state
+        // The mid tier: 3·10^5 stations, the first smoke point whose state
         // lane overflows the cache and runs the staged gather/scatter
         // path. Tracks the scaling curve between the in-cache 16384 drain
         // and the 1M capacity tier.
-        measure_reps("sparse_lsb_100k", CAP_REPS, |seed| {
+        measure_reps("sparse_lsb_300k", CAP_REPS, |seed| {
             scenarios::batch_drain(MID_STATIONS)
                 .totals_only()
                 .until_slot(CAP_HORIZON)
@@ -239,7 +251,7 @@ fn main() {
     );
 
     let mut json =
-        String::from("{\n  \"schema\": \"lowsense-bench-engine/7\",\n  \"engines\": {\n");
+        String::from("{\n  \"schema\": \"lowsense-bench-engine/8\",\n  \"engines\": {\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         json.push_str(&format!(
@@ -274,7 +286,7 @@ fn main() {
         json.push_str(&format!(" }} }}{sep}\n"));
     };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
-    push_phases(&mut json, "sparse_lsb_100k", &mid_profile, ",");
+    push_phases(&mut json, "sparse_lsb_300k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
     json.push_str("  },\n  \"capacity\": {\n");
     json.push_str(&format!(
@@ -314,7 +326,7 @@ fn main() {
     );
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
-        "phases_sparse_lsb_100k",
+        "phases_sparse_lsb_300k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
         100.0 * mid_profile.profile.share(Phase::Permute),

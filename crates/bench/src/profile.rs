@@ -113,7 +113,8 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 /// "Engine overhead" is the wake wheel's footprint, the packet table's
 /// bookkeeping lanes (ids + remap) and the per-slot buffers — everything
 /// the engine spends *per station* beyond the protocol state itself, whose
-/// size is the protocol's contract (`LowSensing` alone is 64 B).
+/// size is the protocol's contract (`LowSensing` alone is 16 B, pinned by
+/// its unit tests).
 #[derive(Default)]
 pub struct CapacityProbe {
     /// Peak engine-overhead bytes.
@@ -249,19 +250,28 @@ pub fn profile_sparse_capacity(
 mod tests {
     use super::*;
     use lowsense_obs::{NoTelemetry, Registry};
+    use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 
     type Factory = fn(&mut SimRng) -> LowSensing;
 
+    /// Stations in the staged case: 300k 16-byte states are a 4.8 MB lane.
+    const STAGED_STATIONS: u64 = 300_000;
+
     /// A direct-path run and a staged one, each with its protocol factory.
     fn cases() -> [(Scenario<Batch, NoJam>, Factory); 2] {
+        // The staged case must clear the lane gate, or it would silently
+        // run the direct path.
+        let lane = STAGED_STATIONS as usize * std::mem::size_of::<LowSensing>();
+        assert!(lane >= STAGE_MIN_LANE_BYTES, "{lane} B lane");
         [
-            // Below the staging gate: 512 states are a 32 KiB lane.
+            // Below the staging gate: 512 states are an 8 KiB lane.
             (scenarios::batch_drain(512).seeded(3), lsb),
-            // Past it: 70k 64-byte states are a 4.3 MiB lane, and a 64-slot
-            // starting window puts ~1k participants in each early slot.
-            (scenarios::high_fanout_batch(70_000, 48).seeded(3), |_| {
-                LowSensing::with_window(Params::default(), 64.0)
-            }),
+            // Past it, and a 64-slot starting window puts over 100k
+            // participants in each early slot.
+            (
+                scenarios::high_fanout_batch(STAGED_STATIONS, 8).seeded(3),
+                |_| LowSensing::with_window(Params::default(), 64.0),
+            ),
         ]
     }
 

@@ -16,20 +16,22 @@
 //! analysis charges against the potential, but a finite state space.
 //!
 //! What that buys the hot path: every rung carries the full set of derived
-//! quantities the PR 5 reciprocal-form recompute produced on the fly
-//! (`p_listen`, `p_send|listen`, `1/ln(1-p_listen)`), computed by the
+//! quantities the reciprocal-form window recompute used to produce on the
+//! fly (`p_listen`, `p_send|listen`, `1/ln(1-p_listen)`), computed by the
 //! **same arithmetic** ([`derive()`], pinned bit-identical by
-//! `tests/ladder.rs`). A window update becomes a level increment/decrement
-//! plus a 3-gather from one 32-byte row — **zero** `ln` calls and **zero**
-//! divides. The only transcendental left in the steady state is the
-//! irreducible `ln U` of the next-wake draw.
+//! `tests/ladder.rs`). A window update becomes a step to the neighbouring
+//! rung, whose 32-byte row holds every value the next draws read — **zero**
+//! `ln` calls and **zero** divides. The only transcendental left in the
+//! steady state is the irreducible `ln U` of the next-wake draw.
 //!
 //! Ladders are interned per `(c, w_min, anchor)` in a process-wide cache
 //! ([`shared`]) and handed out as `&'static` references, so every packet
 //! with the same parameters shares one table (typically a few hundred rungs
-//! ≈ tens of KiB) and the per-packet state stays `Copy` and within one
-//! cache line. Interned ladders are deliberately leaked; the cache is
-//! bounded by the number of distinct parameter sets a process touches.
+//! ≈ tens of KiB) and the per-packet state is just two pointers, to the
+//! ladder and to the current rung (rung addresses never move: an interned
+//! ladder's rows are a boxed slice that lives for the process). Interned
+//! ladders are deliberately leaked; the cache is bounded by the number of
+//! distinct parameter sets a process touches.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -204,6 +206,19 @@ impl Ladder {
         &self.rows
     }
 
+    /// Index of `row`, which must be one of this ladder's [`rows`](Self::rows):
+    /// the inverse of [`row`](Self::row), from the row's address.
+    #[inline]
+    pub(crate) fn level_of(&self, row: &LadderRow) -> u32 {
+        let offset = (row as *const LadderRow as usize).wrapping_sub(self.rows.as_ptr() as usize);
+        let level = offset / std::mem::size_of::<LadderRow>();
+        debug_assert!(
+            self.rows.get(level).is_some_and(|r| std::ptr::eq(r, row)),
+            "row is not a rung of this ladder"
+        );
+        level as u32
+    }
+
     /// Index of the anchor rung (the window the ladder was grown from).
     #[inline]
     pub fn anchor_level(&self) -> u32 {
@@ -244,7 +259,7 @@ impl std::fmt::Debug for Ladder {
 ///
 /// Every packet constructed with the same parameters and starting window
 /// shares one `&'static` table — the "cache sharing across same-params
-/// packets" that keeps per-packet state `Copy` and one cache line. Entries
+/// packets" that keeps per-packet state `Copy` and two pointers wide. Entries
 /// are leaked intentionally; the cache is bounded by the distinct parameter
 /// sets a process touches (a sweep of 100 parameter points costs a few MiB
 /// once, not per packet).
@@ -362,6 +377,14 @@ mod tests {
                 l.row(lvl + 1).w.to_bits(),
                 (w * d.back_off_factor).to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn level_of_inverts_row() {
+        let l = Ladder::build(Params::default(), 64.0);
+        for level in 0..=l.top_level() {
+            assert_eq!(l.level_of(l.row(level)), level);
         }
     }
 

@@ -19,10 +19,10 @@
 //! The window is not stored as a float. Since it only moves by the
 //! multiplicative back-off/back-on steps above, the reachable windows form
 //! a discrete [`crate::ladder`] precomputed once per parameter set:
-//! the state is a **level index**, a window update is a level
-//! increment/decrement plus a 3-value gather from a 32-byte table row, and
-//! the steady state runs with **zero** `ln` calls and **zero** divides —
-//! the only transcendental left is the `ln U` of the wake draw (one
+//! the state is a **pointer to the current rung**, a window update
+//! re-points it one rung up or down, and the steady state runs with
+//! **zero** `ln` calls and **zero** divides — the only transcendental left
+//! is the `ln U` of the wake draw (one
 //! [`fast_ln`](lowsense_sim::dist::fast_ln) multiply via
 //! [`geometric_inv`]). See `crates/core/src/ladder.rs` and
 //! docs/ARCHITECTURE.md § "The quantized window ladder" for why the
@@ -33,7 +33,7 @@ use lowsense_sim::feedback::{Feedback, Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
 
-use crate::ladder::{self, Ladder};
+use crate::ladder::{self, Ladder, LadderRow};
 use crate::params::Params;
 
 /// Per-packet state of `LOW-SENSING BACKOFF`.
@@ -49,22 +49,16 @@ use crate::params::Params;
 /// // Fresh packets send with probability exactly 1/w_min.
 /// assert!((p.send_probability() - 0.25).abs() < 1e-12);
 /// ```
-// 40 bytes of live state (ladder pointer, level, three cached row values),
-// 64-byte aligned so the event-driven engines' scattered per-listener table
-// accesses touch exactly one cache line. The row values are cached inline
-// (rather than re-read through the ladder on every `intent`/draw) so the
-// non-observing hot calls are pure field reads; `observe` refreshes them
-// with a 3-gather from the new level's row.
+// Two interned pointers, 16 bytes: the ladder and the current rung on it.
+// The engines stream one state per participant every dense slot, so the
+// state is kept this small; every hot read is one dependent load through
+// `row` into the shared (cache-resident) ladder. The rung, not its index,
+// is stored so that a read chases one pointer with no bounds check.
 #[derive(Clone, Copy)]
-#[repr(align(64))]
 pub struct LowSensing {
     ladder: &'static Ladder,
-    level: u32,
-    // Cached copies of the current rung's row; bit-identical to
-    // `ladder.row(level)` at all times.
-    p_listen: f64,
-    p_send_given_listen: f64,
-    inv_ln_q_listen: f64,
+    // Always one of `ladder.rows()`.
+    row: &'static LadderRow,
 }
 
 impl LowSensing {
@@ -78,21 +72,16 @@ impl LowSensing {
     /// ladder's anchor rung, so `window()` reports it exactly.
     pub fn with_window(params: Params, w: f64) -> Self {
         let ladder = ladder::shared(params, w);
-        let level = ladder.anchor_level();
-        let row = ladder.row(level);
         LowSensing {
             ladder,
-            level,
-            p_listen: row.p_listen,
-            p_send_given_listen: row.p_send_given_listen,
-            inv_ln_q_listen: row.inv_ln_q_listen,
+            row: ladder.row(ladder.anchor_level()),
         }
     }
 
     /// Current window size `w_u(t)`.
     #[inline]
     pub fn window(&self) -> f64 {
-        self.ladder.row(self.level).w
+        self.row.w
     }
 
     /// The parameters this packet runs with.
@@ -111,38 +100,22 @@ impl LowSensing {
     /// floor).
     #[inline]
     pub fn level(&self) -> u32 {
-        self.level
+        self.ladder.level_of(self.row)
     }
 
     /// Probability of accessing the channel (listening) this slot.
     #[inline]
     pub fn access_probability(&self) -> f64 {
-        self.p_listen
-    }
-
-    /// Moves to `level` and refreshes the cached row values.
-    #[inline]
-    fn set_level(&mut self, level: u32) {
-        let row = self.ladder.row(level);
-        self.level = level;
-        self.p_listen = row.p_listen;
-        self.p_send_given_listen = row.p_send_given_listen;
-        self.inv_ln_q_listen = row.inv_ln_q_listen;
+        self.row.p_listen
     }
 }
 
-// The ladder reference compares by identity: `ladder::shared` interns one
-// table per (params, anchor), so two packets on the same ladder pointer
-// have the same parameters, and equal levels then imply equal windows. The
-// cached floats are compared too, pinning the "inline cache matches the
-// row" invariant in tests that compare whole states.
+// Both references compare by identity: `ladder::shared` interns one table
+// per (params, anchor), so two packets on the same ladder have the same
+// parameters, and the same rung then means the same window.
 impl PartialEq for LowSensing {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.ladder, other.ladder)
-            && self.level == other.level
-            && self.p_listen == other.p_listen
-            && self.p_send_given_listen == other.p_send_given_listen
-            && self.inv_ln_q_listen == other.inv_ln_q_listen
+        std::ptr::eq(self.ladder, other.ladder) && std::ptr::eq(self.row, other.row)
     }
 }
 
@@ -152,11 +125,11 @@ impl std::fmt::Debug for LowSensing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LowSensing")
             .field("params", self.params())
-            .field("level", &self.level)
-            .field("w", &self.window())
-            .field("p_listen", &self.p_listen)
-            .field("p_send_given_listen", &self.p_send_given_listen)
-            .field("inv_ln_q_listen", &self.inv_ln_q_listen)
+            .field("level", &self.level())
+            .field("w", &self.row.w)
+            .field("p_listen", &self.row.p_listen)
+            .field("p_send_given_listen", &self.row.p_send_given_listen)
+            .field("inv_ln_q_listen", &self.row.inv_ln_q_listen)
             .finish()
     }
 }
@@ -164,10 +137,10 @@ impl std::fmt::Debug for LowSensing {
 impl Protocol for LowSensing {
     #[inline]
     fn intent(&mut self, rng: &mut SimRng) -> Intent {
-        if !rng.bernoulli(self.p_listen) {
+        if !rng.bernoulli(self.row.p_listen) {
             return Intent::Sleep;
         }
-        if rng.bernoulli(self.p_send_given_listen) {
+        if rng.bernoulli(self.row.p_send_given_listen) {
             Intent::Send
         } else {
             Intent::Listen
@@ -186,24 +159,20 @@ impl Protocol for LowSensing {
         // arrive as `Empty` and the update walks the wrong way (contention
         // reads as silence); that degradation is measured, not corrected,
         // by the feedback-grid campaign.
-        let new_level = match obs.feedback {
-            Feedback::Empty => self.level.saturating_sub(1),
-            Feedback::Noisy => (self.level + 1).min(self.ladder.top_level()),
+        let level = self.level();
+        let level = match obs.feedback {
+            Feedback::Empty => level.saturating_sub(1),
+            Feedback::Noisy => (level + 1).min(self.ladder.top_level()),
             // Someone else's success: no update (Figure 1 has rules only for
             // silent and noisy slots). Our own success departs us anyway.
             Feedback::Success => return,
         };
-        if new_level == self.level {
-            // Clamped at the floor (or parked on the saturation rung): the
-            // window and every cached derived probability are unchanged.
-            return;
-        }
-        self.set_level(new_level);
+        self.row = self.ladder.row(level);
     }
 
     #[inline]
     fn send_probability(&self) -> f64 {
-        self.p_listen * self.p_send_given_listen
+        self.row.p_listen * self.row.p_send_given_listen
     }
 
     #[inline]
@@ -211,22 +180,22 @@ impl Protocol for LowSensing {
         // Exact inversion sampling, `k = ⌊ln U / ln(1-p_listen)⌋`, with the
         // logarithm of `1-p` cached (pre-inverted) in the ladder row: one
         // inlined transcendental and one multiply per draw.
-        Some(geometric_inv(rng, self.p_listen, self.inv_ln_q_listen))
+        let row = self.row;
+        Some(geometric_inv(rng, row.p_listen, row.inv_ln_q_listen))
     }
 }
 
 impl SparseProtocol for LowSensing {
     #[inline]
     fn send_on_access(&mut self, rng: &mut SimRng) -> bool {
-        rng.bernoulli(self.p_send_given_listen)
+        rng.bernoulli(self.row.p_send_given_listen)
     }
 
-    // No `observe4` override: the scalar `observe` is a level step plus a
-    // 3-value gather — straight-line integer/load work with nothing left to
-    // batch — so the trait's default (four scalar calls, trivially
-    // bit-identical) is already optimal. PR 5's hand-maintained 4-wide copy
-    // of the window recompute is gone with the recompute itself; the single
-    // source of the derived-row arithmetic is `ladder::derive`.
+    // No `observe4` override: the scalar `observe` is a rung step — a few
+    // integer ops and a pointer store with nothing left to batch — so the
+    // trait's default (four scalar calls, trivially bit-identical) is
+    // already optimal. The single source of the derived-row arithmetic is
+    // `ladder::derive`.
 
     #[inline]
     fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
@@ -234,19 +203,13 @@ impl SparseProtocol for LowSensing {
         // drawing nothing, and the four `ln U` evaluations are 4-wide —
         // `geometric4_inv` is bit-identical per lane to the scalar
         // `next_wake`, which the batch contract requires.
-        let p_listen = [
-            states[0].p_listen,
-            states[1].p_listen,
-            states[2].p_listen,
-            states[3].p_listen,
-        ];
-        let inv = [
-            states[0].inv_ln_q_listen,
-            states[1].inv_ln_q_listen,
-            states[2].inv_ln_q_listen,
-            states[3].inv_ln_q_listen,
-        ];
-        geometric4_inv(rng, p_listen, inv).map(Some)
+        let rows = [states[0].row, states[1].row, states[2].row, states[3].row];
+        geometric4_inv(
+            rng,
+            rows.map(|r| r.p_listen),
+            rows.map(|r| r.inv_ln_q_listen),
+        )
+        .map(Some)
     }
 }
 
@@ -402,9 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_row_values_track_the_ladder() {
-        // The inline cache must equal the current rung bit-for-bit after
-        // any walk.
+    fn state_is_a_rung_pointer_on_its_ladder() {
+        // The engines stream one state per participant each dense slot; a
+        // cached field that re-inflates the lane must fail here first.
+        assert_eq!(std::mem::size_of::<LowSensing>(), 16);
+        // After any walk the row is a rung of the packet's own ladder.
         let mut p = fresh();
         let mut seq = SimRng::new(11);
         for _ in 0..2_000 {
@@ -414,13 +379,8 @@ mod tests {
                 _ => Feedback::Success,
             };
             p.observe(&obs(fb));
-            let row = p.ladder().row(p.level());
-            assert_eq!(p.p_listen.to_bits(), row.p_listen.to_bits());
-            assert_eq!(
-                p.p_send_given_listen.to_bits(),
-                row.p_send_given_listen.to_bits()
-            );
-            assert_eq!(p.inv_ln_q_listen.to_bits(), row.inv_ln_q_listen.to_bits());
+            assert!(p.level() <= p.ladder().top_level());
+            assert!(std::ptr::eq(p.row, p.ladder().row(p.level())));
         }
     }
 
@@ -428,9 +388,9 @@ mod tests {
     fn batched_lanes_match_scalar_bitwise() {
         // Long mixed feedback walks: after every batched observe4 +
         // next_wake4 round, all four lane states and delays must equal the
-        // scalar path's exactly (PartialEq on LowSensing compares the level
-        // and every cached float). Clamped parameters (p_listen = 1 at
-        // small w) exercise the degenerate no-draw lanes.
+        // scalar path's exactly (PartialEq on LowSensing compares ladder
+        // and rung identity). Clamped parameters (p_listen = 1 at small w)
+        // exercise the degenerate no-draw lanes.
         for params in [
             Params::default(),
             Params::new(1.0, 8.0).unwrap(),

@@ -40,8 +40,8 @@
 //! Sorting by
 //! address would buy the sweeps little, and every pass would then read the
 //! scratch through a permutation, one cache miss per participant once the
-//! cohort's scratch outgrows the cache (~24 MB at the million-station
-//! tier's opening slots).
+//! cohort's scratch outgrows the private caches (~6 MB of 16 B states at
+//! the million-station tier's opening slots).
 //!
 //! Staging is gated ([`staging_applies`]): it pays two extra copies of
 //! every participant state, which is pure overhead when the state lane
@@ -323,11 +323,13 @@ mod tests {
             STAGE_MIN_PARTICIPANTS,
             STAGE_MIN_LANE_BYTES - 1
         ));
-        // The 16384 bench tier (64 B states, 1 MiB lane) never stages.
-        assert!(!staging_applies(2000, 16_384 * 64));
-        // The 100k and 1M tiers do.
-        assert!(staging_applies(2000, 100_000 * 64));
-        assert!(staging_applies(2000, 1_000_000 * 64));
+        // With 16 B `LowSensing` states, the 16384 bench tier (a 256 KiB
+        // lane) and 100k stations (1.6 MB) never stage.
+        assert!(!staging_applies(2000, 16_384 * 16));
+        assert!(!staging_applies(2000, 100_000 * 16));
+        // The 300k and 1M tiers do.
+        assert!(staging_applies(2000, 300_000 * 16));
+        assert!(staging_applies(2000, 1_000_000 * 16));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! late-run cohort of `k` live packets is scattered across a table sized
 //! for *every packet ever injected*, and each access drags a mostly-dead
 //! cache line through the hierarchy. At paper scale (tens of thousands of
-//! packets, 64-byte protocol states) that scatter is a measurable slice of
-//! the whole simulation.
+//! packets, protocol states of 16 bytes and up) that scatter is a
+//! measurable slice of the whole simulation.
 //!
 //! [`PacketTable`] fixes the layout with a struct-of-arrays split plus
 //! **epoch compaction**. The table is three parallel lanes with distinct
