@@ -5,7 +5,7 @@
 //! order. Idle shards steal the next unclaimed job through a shared atomic
 //! cursor, so the *assignment* of jobs to threads is nondeterministic —
 //! which is exactly why everything built on top (the campaign executors,
-//! `lowsense-experiments`' `parallel_map`) must derive a job's behaviour
+//! `lowsense-experiments`' `monte_carlo`) must derive a job's behaviour
 //! from its index alone, never from which shard ran it.
 //!
 //! # Panic containment
@@ -144,6 +144,7 @@ mod tests {
     fn fewer_items_than_shards() {
         let out = shard_map_with(64, vec![1u64, 2, 3], |x| x + 10);
         assert_eq!(out, vec![11, 12, 13]);
+        assert_eq!(shard_map_with(64, vec![3u64], |x| x * x), vec![9]);
     }
 
     #[test]

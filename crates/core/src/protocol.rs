@@ -454,22 +454,17 @@ mod tests {
         // even though draining is not guaranteed there.
         use lowsense_sim::arrivals::Batch;
         use lowsense_sim::config::{Limits, SimConfig};
-        use lowsense_sim::engine::run_sparse_model;
-        use lowsense_sim::feedback::NoCollisionDetection;
+        use lowsense_sim::engine::run_sparse;
+        use lowsense_sim::feedback::ChannelModel;
         use lowsense_sim::hooks::NoHooks;
         use lowsense_sim::jamming::NoJam;
-        let cfg = SimConfig::new(21).limits(Limits {
-            max_slot: 20_000,
-            max_steps: u64::MAX,
-        });
-        let r = run_sparse_model(
-            &cfg,
-            Batch::new(48),
-            NoJam,
-            NoCollisionDetection,
-            |_| fresh(),
-            &mut NoHooks,
-        );
+        let cfg = SimConfig::new(21)
+            .limits(Limits {
+                max_slot: 20_000,
+                max_steps: u64::MAX,
+            })
+            .model(ChannelModel::NoCollisionDetection);
+        let r = run_sparse(&cfg, Batch::new(48), NoJam, |_| fresh(), &mut NoHooks);
         let t = &r.totals;
         assert!(t.last_slot <= 20_000);
         assert!(t.successes <= t.arrivals);

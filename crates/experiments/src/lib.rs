@@ -29,7 +29,7 @@ pub mod exp;
 pub mod runner;
 pub mod table;
 
-pub use runner::{monte_carlo, parallel_map, Scale};
+pub use runner::{monte_carlo, Scale};
 pub use table::{Cell, Table};
 
 /// A registered experiment.

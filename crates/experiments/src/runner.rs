@@ -1,10 +1,9 @@
 //! Parallel Monte Carlo execution.
 //!
 //! Since the campaign layer landed, the workspace has exactly **one**
-//! parallel executor: [`lowsense_campaign::pool`]. `parallel_map` here is
-//! a thin re-export-style wrapper over it, kept because the ad-hoc
-//! experiments (sweep points × seeds outside a full campaign grid) still
-//! want the bare map-over-jobs shape.
+//! parallel executor: [`lowsense_campaign::pool`]. [`monte_carlo`] maps
+//! the ad-hoc experiments' seeds (sweep points × seeds outside a full
+//! campaign grid) over it with [`lowsense_campaign::shard_map`].
 
 /// Experiment scale: `Quick` for benches and smoke runs, `Full` for the
 /// `repro` binary's paper-scale sweeps.
@@ -34,25 +33,6 @@ impl Scale {
     }
 }
 
-/// Maps `f` over `items` on all available cores, preserving order.
-///
-/// This is [`lowsense_campaign::shard_map`] — the campaign shard pool.
-/// Its contract (inherited from the pool, with regression tests below):
-///
-/// * an empty input returns an empty output without spawning threads;
-/// * fewer items than cores clamps the pool to one shard per item;
-/// * a panicking job does **not** poison the batch — the other jobs still
-///   run, and the lowest-indexed panic is re-raised with its original
-///   payload.
-pub fn parallel_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    lowsense_campaign::shard_map(items, f)
-}
-
 /// Runs `f(seed)` for `seeds` deterministic seeds derived from `base`, in
 /// parallel, preserving seed order.
 pub fn monte_carlo<T, F>(base: u64, seeds: u64, f: F) -> Vec<T>
@@ -64,58 +44,12 @@ where
     let items: Vec<u64> = (0..seeds)
         .map(|i| base.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i))
         .collect();
-    parallel_map(items, f)
+    lowsense_campaign::shard_map(items, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let out: Vec<u64> = parallel_map(Vec::<u64>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_fewer_items_than_threads() {
-        // A 2-job batch must not deadlock or drop jobs on a many-core box
-        // (regression: the pool clamps shards to the item count).
-        let out = parallel_map(vec![7u64, 9], |x| x + 1);
-        assert_eq!(out, vec![8, 10]);
-    }
-
-    #[test]
-    fn parallel_map_single_item() {
-        assert_eq!(parallel_map(vec![3u64], |x| x * x), vec![9]);
-    }
-
-    #[test]
-    fn parallel_map_panic_does_not_poison_the_batch() {
-        // Regression: a worker panic used to surface as the generic
-        // "a scoped thread panicked" (payload lost) before any result was
-        // readable. Now every other job completes and the original panic
-        // payload is re-raised deterministically.
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map((0..40u64).collect(), |x| {
-                if x == 11 {
-                    panic!("seed {x} exploded");
-                }
-                x
-            })
-        }))
-        .expect_err("panic must propagate");
-        let msg = err.downcast_ref::<String>().expect("original payload");
-        assert_eq!(msg, "seed 11 exploded");
-    }
 
     #[test]
     fn monte_carlo_is_deterministic() {

@@ -1,6 +1,7 @@
 //! Run configuration shared by all engines.
 
 use crate::arrivals::ArrivalProcess;
+use crate::feedback::ChannelModel;
 use crate::metrics::MetricsConfig;
 use crate::rng::SimRng;
 use crate::time::Slot;
@@ -49,6 +50,9 @@ pub struct SimConfig {
     pub metrics: MetricsConfig,
     /// Safety limits.
     pub limits: Limits,
+    /// Channel model the run resolves slots through. Every engine entry
+    /// point dispatches on it once per run, outside the slot loop.
+    pub model: ChannelModel,
 }
 
 impl SimConfig {
@@ -58,6 +62,7 @@ impl SimConfig {
             seed,
             metrics: MetricsConfig::default(),
             limits: Limits::default(),
+            model: ChannelModel::Ternary,
         }
     }
 
@@ -70,6 +75,12 @@ impl SimConfig {
     /// Replaces the limits.
     pub fn limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
+        self
+    }
+
+    /// Replaces the channel model (default: the paper's ternary channel).
+    pub fn model(mut self, model: ChannelModel) -> Self {
+        self.model = model;
         self
     }
 }
@@ -192,11 +203,14 @@ mod tests {
 
     #[test]
     fn config_builders() {
+        assert_eq!(SimConfig::new(7).model, ChannelModel::Ternary);
         let cfg = SimConfig::new(7)
             .metrics(MetricsConfig::totals_only())
-            .limits(Limits::until_slot(100));
+            .limits(Limits::until_slot(100))
+            .model(ChannelModel::NoCollisionDetection);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.limits.max_slot, 100);
         assert!(!cfg.metrics.per_packet);
+        assert_eq!(cfg.model, ChannelModel::NoCollisionDetection);
     }
 }

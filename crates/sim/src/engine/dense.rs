@@ -14,7 +14,7 @@
 use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::engine::core::EngineCore;
-use crate::feedback::{FeedbackModel, Intent, Observation, SlotOutcome, Ternary};
+use crate::feedback::{with_feedback_model, FeedbackModel, Intent, Observation, SlotOutcome};
 use crate::hooks::Hooks;
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
@@ -23,7 +23,8 @@ use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::time::Slot;
 
-/// Runs a dense simulation.
+/// Runs a dense simulation under the channel model of
+/// [`cfg.model`](SimConfig::model).
 ///
 /// `factory` creates the protocol state for each injected packet. The run
 /// ends when the arrival process is exhausted and no packet remains, or when
@@ -68,14 +69,13 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_dense_model(cfg, arrivals, jammer, Ternary, factory, hooks)
+    with_feedback_model!(cfg.model, |model| {
+        run_dense_with(cfg, arrivals, jammer, model, factory, hooks)
+    })
 }
 
-/// Runs a dense simulation under an explicit [`FeedbackModel`].
-///
-/// [`run_dense`] is this with the [`Ternary`] model; both monomorphize, so
-/// the ternary slot loop is unchanged machine code.
-pub fn run_dense_model<P, F, A, J, M, H>(
+/// The dense loop body under a statically known [`FeedbackModel`].
+fn run_dense_with<P, F, A, J, M, H>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,
@@ -403,31 +403,6 @@ mod tests {
         assert_eq!(hooks.slots, r.totals.active_slots);
         // Every send produced exactly one observation (Fixed never listens).
         assert_eq!(hooks.observes, r.totals.sends);
-    }
-
-    #[test]
-    fn costly_collisions_dilate_the_clock_but_not_the_logic() {
-        use crate::feedback::CostlyCollisions;
-        let cfg = SimConfig::new(1).limits(Limits::until_slot(99));
-        let r = run_dense(&cfg, Batch::new(2), NoJam, |_| Greedy, &mut NoHooks);
-        let rc = run_dense_model(
-            &cfg,
-            Batch::new(2),
-            NoJam,
-            CostlyCollisions::new(0.5),
-            |_| Greedy,
-            &mut NoHooks,
-        );
-        // Same logical trajectory: 100 two-way collisions either way.
-        assert_eq!(r.totals.collision_slots, 100);
-        assert_eq!(rc.totals.collision_slots, 100);
-        assert_eq!(rc.totals.sends, r.totals.sends);
-        // Each 2-way collision charges ceil(0.5·2) = 1 extra physical slot.
-        assert_eq!(rc.totals.overhead_slots, 100);
-        // The final slot is recorded at physical time: logical 99 shifted by
-        // the 99 collisions resolved before it.
-        assert_eq!(r.totals.last_slot, 99);
-        assert_eq!(rc.totals.last_slot, 99 + 99);
     }
 
     #[test]

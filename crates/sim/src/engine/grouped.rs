@@ -17,7 +17,7 @@ use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::dist::Binomial;
 use crate::engine::core::EngineCore;
-use crate::feedback::{Feedback, FeedbackModel, SlotOutcome, Ternary};
+use crate::feedback::{with_feedback_model, Feedback, FeedbackModel, SlotOutcome};
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
 use crate::packet::PacketId;
@@ -46,21 +46,11 @@ struct Group<P> {
     injected: Slot,
 }
 
-/// Runs a grouped simulation of a [`SymmetricProtocol`].
+/// Runs a grouped simulation of a [`SymmetricProtocol`] under the channel
+/// model of [`cfg.model`](SimConfig::model).
 ///
 /// `factory` is invoked once per arrival event; every packet of the event
 /// shares the returned state (symmetry requires identical initial state).
-pub fn run_grouped<P, F, A, J>(cfg: &SimConfig, arrivals: A, jammer: J, factory: F) -> RunResult
-where
-    P: SymmetricProtocol,
-    F: FnMut(&mut SimRng) -> P,
-    A: ArrivalProcess,
-    J: Jammer,
-{
-    run_grouped_model(cfg, arrivals, jammer, Ternary, factory)
-}
-
-/// [`run_grouped`] under an explicit [`FeedbackModel`].
 ///
 /// The cohort update applies the model's **listener** feedback — exact for
 /// models where senders and listeners perceive the channel identically
@@ -68,7 +58,20 @@ where
 /// abstraction is lossy (a failed sender privately hears noise while its
 /// cohort hears silence), so the feedback-grid campaign runs symmetric
 /// baselines through the per-packet engines instead.
-pub fn run_grouped_model<P, F, A, J, M>(
+pub fn run_grouped<P, F, A, J>(cfg: &SimConfig, arrivals: A, jammer: J, factory: F) -> RunResult
+where
+    P: SymmetricProtocol,
+    F: FnMut(&mut SimRng) -> P,
+    A: ArrivalProcess,
+    J: Jammer,
+{
+    with_feedback_model!(cfg.model, |model| {
+        run_grouped_with(cfg, arrivals, jammer, model, factory)
+    })
+}
+
+/// The grouped loop body under a statically known [`FeedbackModel`].
+fn run_grouped_with<P, F, A, J, M>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,

@@ -28,12 +28,12 @@
 //! * [`grouped`] — cohort engine for [`SymmetricProtocol`] baselines that
 //!   listen every slot, `O(groups)` per slot.
 //!
-//! Every engine is additionally generic over a
-//! [`FeedbackModel`](crate::feedback::FeedbackModel): the plain `run_*`
-//! entry points fix the paper's ternary channel, and each has a
-//! `run_*_model` sibling taking an explicit model. Models are
-//! monomorphization parameters — dispatch happens once per run, never in
-//! the slot loop.
+//! Every engine loop is additionally generic over a
+//! [`FeedbackModel`](crate::feedback::FeedbackModel). Each engine has one
+//! public `run_*` entry point, which reads the run's
+//! [`ChannelModel`](crate::feedback::ChannelModel) from
+//! [`SimConfig::model`](crate::config::SimConfig::model) and dispatches
+//! once per run to the monomorphized loop body, never in the slot loop.
 //!
 //! Most code should not call the `run_*` entry points directly but go
 //! through the [scenario layer](crate::scenario), which composes arrivals,
@@ -53,10 +53,10 @@ pub mod table;
 pub mod wake;
 pub mod wake_flat;
 
-pub use dense::{run_dense, run_dense_model};
-pub use grouped::{run_grouped, run_grouped_model, SymmetricProtocol};
-pub use sparse::{run_sparse, run_sparse_flat, run_sparse_flat_model, run_sparse_model};
-pub use sparse_reference::{run_sparse_reference, run_sparse_reference_model};
+pub use dense::run_dense;
+pub use grouped::{run_grouped, SymmetricProtocol};
+pub use sparse::{run_sparse, run_sparse_flat};
+pub use sparse_reference::run_sparse_reference;
 pub use stage::{staging_applies, StagePlan, STAGE_MIN_LANE_BYTES, STAGE_MIN_PARTICIPANTS};
 pub use table::{Dense, PacketTable};
 pub use wake::WakeQueue;

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use crate::arrivals::ArrivalProcess;
 use crate::config::SimConfig;
 use crate::engine::core::EngineCore;
-use crate::feedback::{FeedbackModel, Observation, SlotOutcome, Ternary};
+use crate::feedback::{with_feedback_model, FeedbackModel, Observation, SlotOutcome};
 use crate::hooks::Hooks;
 use crate::jamming::Jammer;
 use crate::metrics::RunResult;
@@ -35,12 +35,13 @@ use crate::protocol::SparseProtocol;
 use crate::rng::SimRng;
 use crate::time::{offset, wake_slot, Slot};
 
-/// Runs the reference event-driven simulation (binary-heap wake set).
+/// Runs the reference event-driven simulation (binary-heap wake set)
+/// under the channel model of [`cfg.model`](SimConfig::model).
 ///
 /// Semantically identical to [`run_sparse`](crate::engine::sparse::run_sparse)
-/// — and verified bit-identical by the equivalence tests — but pays
-/// `O(log n)` heap traffic per channel access. Use it to validate engine
-/// changes, not for production sweeps.
+/// — and verified bit-identical by the equivalence tests, under every
+/// model — but pays `O(log n)` heap traffic per channel access. Use it to
+/// validate engine changes, not for production sweeps.
 pub fn run_sparse_reference<P, F, A, J, H>(
     cfg: &SimConfig,
     arrivals: A,
@@ -55,12 +56,13 @@ where
     J: Jammer,
     H: Hooks<P>,
 {
-    run_sparse_reference_model(cfg, arrivals, jammer, Ternary, factory, hooks)
+    with_feedback_model!(cfg.model, |model| {
+        run_sparse_reference_with(cfg, arrivals, jammer, model, factory, hooks)
+    })
 }
 
-/// [`run_sparse_reference`] under an explicit [`FeedbackModel`], so the
-/// dumb oracle loop can pin the optimized engine under every model.
-pub fn run_sparse_reference_model<P, F, A, J, M, H>(
+/// The reference loop body under a statically known [`FeedbackModel`].
+fn run_sparse_reference_with<P, F, A, J, M, H>(
     cfg: &SimConfig,
     arrivals: A,
     jammer: J,

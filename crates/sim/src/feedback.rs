@@ -7,9 +7,10 @@
 //! station perceives is factored into a [`FeedbackModel`]: [`Ternary`]
 //! (the paper, and the default), [`NoCollisionDetection`] (Jiang–Zheng,
 //! arXiv:2111.06650), and [`CostlyCollisions`] (Anderton–Young,
-//! arXiv:1705.09271). Engines are generic over the model and monomorphize;
-//! [`ChannelModel`] is the runtime-selectable mirror used by scenarios and
-//! campaign specs.
+//! arXiv:1705.09271). Engine loops are generic over the model and
+//! monomorphize; [`ChannelModel`] is the runtime-selectable mirror a run
+//! carries in [`SimConfig::model`](crate::config::SimConfig::model), and
+//! every engine entry point maps it to its model type once per run.
 
 use crate::packet::PacketId;
 use crate::time::Slot;
@@ -148,9 +149,6 @@ impl SlotOutcome {
 /// outcome variant is a compile error in every model rather than a silent
 /// misclassification.
 pub trait FeedbackModel: Copy + Send + Sync + 'static {
-    /// Short stable name for labels and artifacts (no parameters).
-    fn name(&self) -> &'static str;
-
     /// What a pure listener hears for this outcome.
     fn listener_feedback(&self, outcome: &SlotOutcome) -> Feedback;
 
@@ -178,11 +176,6 @@ pub struct Ternary;
 
 impl FeedbackModel for Ternary {
     #[inline]
-    fn name(&self) -> &'static str {
-        "ternary"
-    }
-
-    #[inline]
     fn listener_feedback(&self, outcome: &SlotOutcome) -> Feedback {
         outcome.feedback()
     }
@@ -203,11 +196,6 @@ impl FeedbackModel for Ternary {
 pub struct NoCollisionDetection;
 
 impl FeedbackModel for NoCollisionDetection {
-    #[inline]
-    fn name(&self) -> &'static str {
-        "no-cd"
-    }
-
     #[inline]
     fn listener_feedback(&self, outcome: &SlotOutcome) -> Feedback {
         match outcome {
@@ -262,11 +250,6 @@ impl CostlyCollisions {
 
 impl FeedbackModel for CostlyCollisions {
     #[inline]
-    fn name(&self) -> &'static str {
-        "costly"
-    }
-
-    #[inline]
     fn listener_feedback(&self, outcome: &SlotOutcome) -> Feedback {
         outcome.feedback()
     }
@@ -285,12 +268,14 @@ impl FeedbackModel for CostlyCollisions {
     }
 }
 
-/// Runtime-selectable channel model — the scenario/campaign-facing mirror
-/// of the static [`FeedbackModel`] implementations.
+/// Runtime-selectable channel model — the run-configuration mirror of the
+/// static [`FeedbackModel`] implementations.
 ///
-/// Scenarios carry one of these and dispatch **once per run** (outside the
-/// slot loop) to the matching monomorphized engine body, so model choice
-/// never costs dyn dispatch per slot.
+/// A run carries one in [`SimConfig::model`](crate::config::SimConfig::model)
+/// (scenarios and campaign specs set it there), and each engine entry point
+/// dispatches on it **once per run**, outside the slot loop, to the
+/// matching monomorphized engine body, so model choice never costs dyn
+/// dispatch per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ChannelModel {
     /// The paper's ternary full-sensing channel (default).
@@ -315,6 +300,29 @@ impl ChannelModel {
         }
     }
 }
+
+/// Evaluates `$body` with `$m` bound to the [`FeedbackModel`] that a
+/// [`ChannelModel`] selects — the one runtime → static mapping every
+/// engine entry point dispatches through, once per run.
+macro_rules! with_feedback_model {
+    ($model:expr, |$m:ident| $body:expr) => {
+        match $model {
+            $crate::feedback::ChannelModel::Ternary => {
+                let $m = $crate::feedback::Ternary;
+                $body
+            }
+            $crate::feedback::ChannelModel::NoCollisionDetection => {
+                let $m = $crate::feedback::NoCollisionDetection;
+                $body
+            }
+            $crate::feedback::ChannelModel::CostlyCollisions { alpha } => {
+                let $m = $crate::feedback::CostlyCollisions::new(alpha);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_feedback_model;
 
 /// Resolves a slot given the sender set and the jamming decision.
 #[inline]

@@ -97,8 +97,7 @@ pub mod prelude {
     };
     pub use crate::config::{Limits, SimConfig};
     pub use crate::engine::{
-        run_dense, run_dense_model, run_grouped, run_grouped_model, run_sparse, run_sparse_flat,
-        run_sparse_flat_model, run_sparse_model, run_sparse_reference, run_sparse_reference_model,
+        run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference,
         SymmetricProtocol,
     };
     pub use crate::feedback::{

@@ -1,10 +1,10 @@
 //! Declarative scenario layer: named, reusable run descriptions.
 //!
-//! A [`Scenario`] composes **arrivals × jammer × limits × metrics × seed**
-//! into one value; the protocol joins at the final step, when a run method
-//! is called with a factory. Experiments, examples, tests, and benches all
-//! construct runs through this layer, so adding a workload is a one-liner
-//! everywhere:
+//! A [`Scenario`] composes **arrivals × jammer × limits × metrics × seed ×
+//! channel model** into one value; the protocol joins at the final step,
+//! when a run method is called with a factory. Experiments, examples,
+//! tests, and benches all construct runs through this layer, so adding a
+//! workload is a one-liner everywhere:
 //!
 //! ```
 //! use lowsense_sim::prelude::*;
@@ -48,11 +48,9 @@ use std::fmt;
 use crate::arrivals::ArrivalProcess;
 use crate::config::{Limits, SimConfig};
 use crate::engine::{
-    run_dense, run_dense_model, run_grouped, run_grouped_model, run_sparse, run_sparse_flat,
-    run_sparse_flat_model, run_sparse_model, run_sparse_reference, run_sparse_reference_model,
-    SymmetricProtocol,
+    run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference, SymmetricProtocol,
 };
-use crate::feedback::{ChannelModel, CostlyCollisions, NoCollisionDetection};
+use crate::feedback::ChannelModel;
 use crate::hooks::{Hooks, NoHooks};
 use crate::jamming::{Jammer, NoJam};
 use crate::metrics::{MetricsConfig, RunResult};
@@ -70,16 +68,14 @@ use crate::view::SystemView;
 pub struct NoArrivals;
 
 /// A named, reusable description of one simulation run: arrivals, jamming,
-/// limits, metrics, and seed. See the [module docs](self) for an example.
+/// and the run's [`SimConfig`] (seed, limits, metrics, channel model). See
+/// the [module docs](self) for an example.
 #[derive(Debug, Clone)]
 pub struct Scenario<A = NoArrivals, J = NoJam> {
     name: Cow<'static, str>,
-    seed: u64,
     arrivals: A,
     jammer: J,
-    limits: Limits,
-    metrics: MetricsConfig,
-    model: ChannelModel,
+    config: SimConfig,
 }
 
 impl Scenario<NoArrivals, NoJam> {
@@ -89,12 +85,9 @@ impl Scenario<NoArrivals, NoJam> {
     pub fn named(name: impl Into<Cow<'static, str>>) -> Self {
         Scenario {
             name: name.into(),
-            seed: 0,
             arrivals: NoArrivals,
             jammer: NoJam,
-            limits: Limits::default(),
-            metrics: MetricsConfig::default(),
-            model: ChannelModel::Ternary,
+            config: SimConfig::new(0),
         }
     }
 }
@@ -109,12 +102,9 @@ impl<A, J> Scenario<A, J> {
     pub fn arrivals<A2: ArrivalProcess>(self, arrivals: A2) -> Scenario<A2, J> {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals,
             jammer: self.jammer,
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            config: self.config,
         }
     }
 
@@ -122,36 +112,33 @@ impl<A, J> Scenario<A, J> {
     pub fn jammer<J2: Jammer>(self, jammer: J2) -> Scenario<A, J2> {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals: self.arrivals,
             jammer,
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            config: self.config,
         }
     }
 
     /// Selects the channel model the run resolves slots through
     /// (default: the paper's ternary channel).
     pub fn model(mut self, model: ChannelModel) -> Self {
-        self.model = model;
+        self.config = self.config.model(model);
         self
     }
 
     /// The scenario's channel model.
     pub fn channel_model(&self) -> ChannelModel {
-        self.model
+        self.config.model
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Replaces the safety limits.
     pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+        self.config = self.config.limits(limits);
         self
     }
 
@@ -164,7 +151,7 @@ impl<A, J> Scenario<A, J> {
 
     /// Replaces the metrics configuration.
     pub fn metrics(mut self, metrics: MetricsConfig) -> Self {
-        self.metrics = metrics;
+        self.config = self.config.metrics(metrics);
         self
     }
 
@@ -176,15 +163,13 @@ impl<A, J> Scenario<A, J> {
     /// Enables the trajectory series with checkpoint spacing `factor` on
     /// top of the current metrics configuration.
     pub fn series(mut self, factor: f64) -> Self {
-        self.metrics = self.metrics.with_series(factor);
+        self.config.metrics = self.config.metrics.with_series(factor);
         self
     }
 
     /// The [`SimConfig`] this scenario resolves to.
     pub fn sim_config(&self) -> SimConfig {
-        SimConfig::new(self.seed)
-            .limits(self.limits)
-            .metrics(self.metrics)
+        self.config
     }
 }
 
@@ -209,30 +194,19 @@ where
     }
 
     /// [`Scenario::run_dense`] with analysis hooks attached.
-    ///
-    /// The channel model is dispatched **once here** (as in every run
-    /// method), outside the slot loop, to the matching monomorphized
-    /// engine body.
     pub fn run_dense_hooked<P, F, H>(&self, factory: F, hooks: &mut H) -> RunResult
     where
         P: Protocol,
         F: FnMut(&mut SimRng) -> P,
         H: Hooks<P>,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
+        run_dense(
+            &self.config,
             self.arrivals.clone(),
             self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_dense(&cfg, a, j, factory, hooks),
-            ChannelModel::NoCollisionDetection => {
-                run_dense_model(&cfg, a, j, NoCollisionDetection, factory, hooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_dense_model(&cfg, a, j, CostlyCollisions::new(alpha), factory, hooks)
-            }
-        }
+            factory,
+            hooks,
+        )
     }
 
     /// Runs the scenario on the [sparse engine](crate::engine::sparse).
@@ -251,20 +225,13 @@ where
         F: FnMut(&mut SimRng) -> P,
         H: Hooks<P>,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
+        run_sparse(
+            &self.config,
             self.arrivals.clone(),
             self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse(&cfg, a, j, factory, hooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_model(&cfg, a, j, NoCollisionDetection, factory, hooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_sparse_model(&cfg, a, j, CostlyCollisions::new(alpha), factory, hooks)
-            }
-        }
+            factory,
+            hooks,
+        )
     }
 
     /// Runs the scenario on the sparse loop over the retained flat
@@ -276,25 +243,13 @@ where
         P: SparseProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
+        run_sparse_flat(
+            &self.config,
             self.arrivals.clone(),
             self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse_flat(&cfg, a, j, factory, &mut NoHooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_flat_model(&cfg, a, j, NoCollisionDetection, factory, &mut NoHooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => run_sparse_flat_model(
-                &cfg,
-                a,
-                j,
-                CostlyCollisions::new(alpha),
-                factory,
-                &mut NoHooks,
-            ),
-        }
+            factory,
+            &mut NoHooks,
+        )
     }
 
     /// Runs the scenario on the retained heap-based sparse loop
@@ -305,25 +260,13 @@ where
         P: SparseProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
+        run_sparse_reference(
+            &self.config,
             self.arrivals.clone(),
             self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_sparse_reference(&cfg, a, j, factory, &mut NoHooks),
-            ChannelModel::NoCollisionDetection => {
-                run_sparse_reference_model(&cfg, a, j, NoCollisionDetection, factory, &mut NoHooks)
-            }
-            ChannelModel::CostlyCollisions { alpha } => run_sparse_reference_model(
-                &cfg,
-                a,
-                j,
-                CostlyCollisions::new(alpha),
-                factory,
-                &mut NoHooks,
-            ),
-        }
+            factory,
+            &mut NoHooks,
+        )
     }
 
     /// Runs the scenario on the [grouped engine](crate::engine::grouped).
@@ -332,20 +275,12 @@ where
         P: SymmetricProtocol,
         F: FnMut(&mut SimRng) -> P,
     {
-        let (cfg, a, j) = (
-            self.sim_config(),
+        run_grouped(
+            &self.config,
             self.arrivals.clone(),
             self.jammer.clone(),
-        );
-        match self.model {
-            ChannelModel::Ternary => run_grouped(&cfg, a, j, factory),
-            ChannelModel::NoCollisionDetection => {
-                run_grouped_model(&cfg, a, j, NoCollisionDetection, factory)
-            }
-            ChannelModel::CostlyCollisions { alpha } => {
-                run_grouped_model(&cfg, a, j, CostlyCollisions::new(alpha), factory)
-            }
-        }
+            factory,
+        )
     }
 }
 
@@ -362,12 +297,9 @@ where
     pub fn boxed(self) -> DynScenario {
         Scenario {
             name: self.name,
-            seed: self.seed,
             arrivals: BoxedArrivals(Box::new(self.arrivals)),
             jammer: BoxedJammer(Box::new(self.jammer)),
-            limits: self.limits,
-            metrics: self.metrics,
-            model: self.model,
+            config: self.config,
         }
     }
 }
@@ -775,6 +707,50 @@ mod tests {
                 "{}: slot classes must partition active slots",
                 s.name()
             );
+        }
+    }
+
+    #[test]
+    fn every_engine_entry_runs_the_configured_model() {
+        // Two always-sending packets collide in every slot up to the limit.
+        // Under costly collisions each 2-way collision charges
+        // ceil(0.5·2) = 1 extra physical slot: the logical trajectory is
+        // unchanged, and the final slot is recorded at physical time
+        // (logical 99 shifted by the 99 collisions resolved before it).
+        let ternary = SimConfig::new(1).limits(Limits::until_slot(99));
+        let costly = ternary.model(ChannelModel::CostlyCollisions { alpha: 0.5 });
+        type Entry = fn(&SimConfig) -> RunResult;
+        let entries: [(&str, Entry); 5] = [
+            ("dense", |c| {
+                run_dense(c, Batch::new(2), NoJam, |_| Fixed(1.0), &mut NoHooks)
+            }),
+            ("grouped", |c| {
+                run_grouped(c, Batch::new(2), NoJam, |_| Fixed(1.0))
+            }),
+            ("sparse", |c| {
+                run_sparse(c, Batch::new(2), NoJam, |_| Fixed(1.0), &mut NoHooks)
+            }),
+            ("sparse_flat", |c| {
+                run_sparse_flat(c, Batch::new(2), NoJam, |_| Fixed(1.0), &mut NoHooks)
+            }),
+            ("sparse_reference", |c| {
+                run_sparse_reference(c, Batch::new(2), NoJam, |_| Fixed(1.0), &mut NoHooks)
+            }),
+        ];
+        for (entry, run) in entries {
+            let r = run(&ternary).totals;
+            let rc = run(&costly).totals;
+            assert_eq!(
+                (r.collision_slots, r.overhead_slots, r.last_slot),
+                (100, 0, 99),
+                "{entry} under the default model"
+            );
+            assert_eq!(
+                (rc.collision_slots, rc.overhead_slots, rc.last_slot),
+                (100, 100, 198),
+                "{entry} under costly collisions"
+            );
+            assert_eq!(rc.sends, r.sends, "{entry}: same logical trajectory");
         }
     }
 

@@ -219,9 +219,10 @@ impl EventLog {
     /// Reconstructs a log from [`EventLog::to_jsonl`] output.
     ///
     /// Returns an error naming the offending line for an unknown schema,
-    /// a malformed record, or an event count that disagrees with the
-    /// header. Round-trips exactly: capacity, dropped count, and the
-    /// retained event sequence all survive.
+    /// a malformed record (including an id or sender count above
+    /// `u32::MAX`), a record past the header's capacity, or an event count
+    /// that disagrees with the header. Round-trips exactly: capacity,
+    /// dropped count, and the retained event sequence all survive.
     pub fn from_jsonl(text: &str) -> Result<EventLog, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty trace: missing header")?;
@@ -239,11 +240,14 @@ impl EventLog {
         let mut events = VecDeque::new();
         for line in lines {
             let bad = || format!("malformed trace record: {line}");
+            if events.len() == log.capacity {
+                return Err(format!("trace record past capacity {capacity}: {line}"));
+            }
             let ev = json_str(line, "ev").ok_or_else(bad)?;
             let e = match ev.as_str() {
                 "inject" | "depart" | "observe" => {
                     let slot = json_u64(line, "slot").ok_or_else(bad)?;
-                    let id = PacketId(json_u64(line, "id").ok_or_else(bad)? as u32);
+                    let id = PacketId(json_u32(line, "id").ok_or_else(bad)?);
                     match ev.as_str() {
                         "inject" => Event::Inject { slot, id },
                         "depart" => Event::Depart { slot, id },
@@ -255,13 +259,13 @@ impl EventLog {
                     let outcome = match json_str(line, "outcome").ok_or_else(bad)?.as_str() {
                         "empty" => SlotOutcome::Empty,
                         "success" => SlotOutcome::Success {
-                            id: PacketId(json_u64(line, "id").ok_or_else(bad)? as u32),
+                            id: PacketId(json_u32(line, "id").ok_or_else(bad)?),
                         },
                         "collision" => SlotOutcome::Collision {
-                            senders: json_u64(line, "senders").ok_or_else(bad)? as u32,
+                            senders: json_u32(line, "senders").ok_or_else(bad)?,
                         },
                         "jammed" => SlotOutcome::Jammed {
-                            senders: json_u64(line, "senders").ok_or_else(bad)? as u32,
+                            senders: json_u32(line, "senders").ok_or_else(bad)?,
                         },
                         _ => return Err(bad()),
                     };
@@ -301,6 +305,12 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// [`json_u64`] for a `u32` field: a larger value is malformed, never
+/// truncated.
+fn json_u32(line: &str, key: &str) -> Option<u32> {
+    json_u64(line, key).and_then(|v| u32::try_from(v).ok())
 }
 
 /// Extracts the string value of `"key":"…"` from a flat one-line JSON
@@ -466,5 +476,33 @@ mod tests {
             "{\"schema\":\"lowsense-trace/1\",\"capacity\":4,\"dropped\":0,\"events\":2}\n\
                         {\"ev\":\"gap\",\"from\":0,\"to\":5,\"jammed\":0}";
         assert!(EventLog::from_jsonl(miscount).is_err(), "count mismatch");
+        // A loaded log must keep its bound: `push` evicts only at
+        // `len == capacity`, so a log loaded past it would never evict.
+        let over_capacity =
+            "{\"schema\":\"lowsense-trace/1\",\"capacity\":1,\"dropped\":0,\"events\":3}\n\
+                             {\"ev\":\"inject\",\"slot\":0,\"id\":0}\n\
+                             {\"ev\":\"inject\",\"slot\":0,\"id\":1}\n\
+                             {\"ev\":\"inject\",\"slot\":0,\"id\":2}";
+        assert!(
+            EventLog::from_jsonl(over_capacity).is_err(),
+            "past capacity"
+        );
+        assert!(
+            EventLog::from_jsonl(&over_capacity.replace("\"capacity\":1", "\"capacity\":3"))
+                .is_ok()
+        );
+        let wide_id =
+            "{\"schema\":\"lowsense-trace/1\",\"capacity\":4,\"dropped\":0,\"events\":1}\n\
+                       {\"ev\":\"inject\",\"slot\":0,\"id\":4294967296}";
+        assert!(EventLog::from_jsonl(wide_id).is_err(), "id above u32::MAX");
+        assert!(EventLog::from_jsonl(&wide_id.replace("4294967296", "4294967295")).is_ok());
+        let wide_senders =
+            "{\"schema\":\"lowsense-trace/1\",\"capacity\":4,\"dropped\":0,\"events\":1}\n\
+                            {\"ev\":\"slot\",\"slot\":0,\"outcome\":\"collision\",\"senders\":4294967296}";
+        assert!(
+            EventLog::from_jsonl(wide_senders).is_err(),
+            "senders above u32::MAX"
+        );
+        assert!(EventLog::from_jsonl(&wide_senders.replace("4294967296", "4294967295")).is_ok());
     }
 }
