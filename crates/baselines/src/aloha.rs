@@ -6,7 +6,7 @@
 //! that experiment T2 plots as the (unachievable without knowing `N`)
 //! upper reference line.
 
-use lowsense_sim::dist::{geometric4, geometric_fast};
+use lowsense_sim::dist::geometric_fast;
 use lowsense_sim::feedback::{Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
@@ -55,8 +55,8 @@ impl Protocol for SlottedAloha {
     }
 
     fn next_wake(&mut self, rng: &mut SimRng) -> Option<u64> {
-        // `geometric_fast` (not `geometric`) so the scalar path is
-        // bit-identical per lane to the 4-wide `next_wake4` below.
+        // `geometric_fast`, not `geometric`: the two draw different bits,
+        // so switching would move every ALOHA result.
         Some(geometric_fast(rng, self.p))
     }
 }
@@ -64,16 +64,6 @@ impl Protocol for SlottedAloha {
 impl SparseProtocol for SlottedAloha {
     fn send_on_access(&mut self, _rng: &mut SimRng) -> bool {
         true
-    }
-
-    // ALOHA never adapts, so all four lanes redraw at the same fixed `p`;
-    // `geometric4` keeps the draw order identical to four scalar calls
-    // while batching the logarithms. ALOHA also never listens, so engine
-    // listener cohorts never reach this; the `next_wake4_matches_scalar`
-    // test pins the scalar/batch bit-identity.
-    fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
-        let p = [states[0].p, states[1].p, states[2].p, states[3].p];
-        geometric4(rng, p).map(Some)
     }
 }
 
@@ -140,24 +130,5 @@ mod tests {
     #[should_panic(expected = "out of (0,1]")]
     fn rejects_bad_p() {
         SlottedAloha::new(0.0);
-    }
-
-    #[test]
-    fn next_wake4_matches_scalar() {
-        let mut scalar: Vec<SlottedAloha> = (1..=4)
-            .map(|i| SlottedAloha::new(0.02 * i as f64))
-            .collect();
-        let mut batched = scalar.clone();
-        let mut rng_s = SimRng::new(50);
-        let mut rng_b = SimRng::new(50);
-        for round in 0..5_000 {
-            let s: Vec<_> = scalar.iter_mut().map(|p| p.next_wake(&mut rng_s)).collect();
-            let [a, b, c, d] = &mut batched[..] else {
-                unreachable!()
-            };
-            let bt = SlottedAloha::next_wake4(&mut [a, b, c, d], &mut rng_b);
-            assert_eq!(s, bt.to_vec(), "round {round}");
-        }
-        assert_eq!(rng_s.next_u64(), rng_b.next_u64(), "stream lockstep");
     }
 }

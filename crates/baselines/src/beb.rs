@@ -13,7 +13,7 @@
 //! inputs is `O(1/ln N)` — the curve experiment T2 reproduces — and a
 //! reactive adversary can starve them with `Θ(ln T)` targeted jams (T9).
 
-use lowsense_sim::dist::{geometric4, geometric_fast};
+use lowsense_sim::dist::geometric_fast;
 use lowsense_sim::feedback::{Feedback, Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
@@ -120,22 +120,6 @@ impl SparseProtocol for WindowedBeb {
     fn send_on_access(&mut self, _rng: &mut SimRng) -> bool {
         true
     }
-
-    // Countdowns are deterministic state (resampled from the private
-    // per-packet stream inside `observe`), so the batched draw consumes no
-    // shared randomness at all — four lanes read four cached counters.
-    // BEB never listens (`send_on_access` is always true), so the sparse
-    // engine's listener cohorts never reach this; it exists so the batch
-    // contract holds if an engine ever batches sender redraws, and the
-    // `next_wake4_matches_scalar` test pins it against the scalar path.
-    fn next_wake4(states: &mut [&mut Self; 4], _rng: &mut SimRng) -> [Option<u64>; 4] {
-        [
-            Some(states[0].countdown),
-            Some(states[1].countdown),
-            Some(states[2].countdown),
-            Some(states[3].countdown),
-        ]
-    }
 }
 
 /// Memoryless probability-halving exponential backoff.
@@ -184,8 +168,9 @@ impl Protocol for ProbBeb {
     }
 
     fn next_wake(&mut self, rng: &mut SimRng) -> Option<u64> {
-        // `geometric_fast` (not `geometric`) so the scalar path is
-        // bit-identical per lane to the 4-wide `next_wake4` below.
+        // `geometric_fast`, not `geometric`: the two draw different bits,
+        // and the committed `CAMPAIGN_feedback_grid.json` pins these
+        // (its `beb-prob` cells).
         Some(geometric_fast(rng, self.probability()))
     }
 }
@@ -193,22 +178,6 @@ impl Protocol for ProbBeb {
 impl SparseProtocol for ProbBeb {
     fn send_on_access(&mut self, _rng: &mut SimRng) -> bool {
         true
-    }
-
-    // Four geometric redraws at per-lane (attempt-dependent) probabilities,
-    // with both logarithms evaluated 4-wide; `geometric4` draws uniforms in
-    // ascending lane order so the RNG stream matches four scalar
-    // `next_wake` calls exactly. Like `WindowedBeb`, ProbBeb never listens,
-    // so engine listener cohorts never reach this; the
-    // `next_wake4_matches_scalar` test pins the scalar/batch bit-identity.
-    fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
-        let p = [
-            states[0].probability(),
-            states[1].probability(),
-            states[2].probability(),
-            states[3].probability(),
-        ];
-        geometric4(rng, p).map(Some)
     }
 }
 
@@ -343,42 +312,6 @@ mod tests {
             &mut NoHooks,
         );
         assert!(r.drained());
-    }
-
-    #[test]
-    fn next_wake4_matches_scalar() {
-        // Batched redraws must be bit-identical to four scalar calls, with
-        // the RNG streams in lockstep afterwards — for both BEB flavours.
-        let mut seed_rng = SimRng::new(40);
-        let mut windowed: Vec<WindowedBeb> = (0..4)
-            .map(|_| WindowedBeb::new(4, 16, &mut seed_rng))
-            .collect();
-        let mut prob: Vec<ProbBeb> = (0..4).map(|i| ProbBeb::new(0.5 / (i + 1) as f64)).collect();
-        let mut rng_s = SimRng::new(41);
-        let mut rng_b = SimRng::new(41);
-        for round in 0..2_000 {
-            let scalar_w: Vec<_> = windowed
-                .iter_mut()
-                .map(|p| p.next_wake(&mut rng_s))
-                .collect();
-            let scalar_p: Vec<_> = prob.iter_mut().map(|p| p.next_wake(&mut rng_s)).collect();
-            let [a, b, c, d] = &mut windowed[..] else {
-                unreachable!()
-            };
-            let batch_w = WindowedBeb::next_wake4(&mut [a, b, c, d], &mut rng_b);
-            let [a, b, c, d] = &mut prob[..] else {
-                unreachable!()
-            };
-            let batch_p = ProbBeb::next_wake4(&mut [a, b, c, d], &mut rng_b);
-            assert_eq!(scalar_w, batch_w.to_vec(), "round {round}");
-            assert_eq!(scalar_p, batch_p.to_vec(), "round {round}");
-            // Occasionally mutate state so the lanes diverge.
-            if round % 7 == 0 {
-                windowed[round % 4].observe(&collision(round as u64));
-                prob[round % 4].observe(&collision(round as u64));
-            }
-        }
-        assert_eq!(rng_s.next_u64(), rng_b.next_u64(), "stream lockstep");
     }
 
     #[test]

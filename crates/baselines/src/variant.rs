@@ -241,10 +241,10 @@ impl SparseProtocol for LowSensingVariant {
         rng.bernoulli(self.p_send_given_access)
     }
 
-    // Variants listen without sending (unlike the oblivious baselines), so
-    // this override runs on the sparse engine's real listener-cohort path:
-    // four geometric redraws at per-lane cached access probabilities,
-    // uniforms drawn in ascending lane order, the `ln U`s 4-wide.
+    // Variants listen without sending, so the sparse engine's wake pass
+    // feeds their listener cohorts through this: four geometric redraws at
+    // per-lane cached access probabilities, uniforms drawn in ascending
+    // lane order, the `ln U`s 4-wide.
     fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
         let p = [
             states[0].p_access,

@@ -85,12 +85,11 @@ pub struct Derived {
 
 /// The window recompute, in one place.
 ///
-/// This is the reciprocal-form arithmetic the PR 5 `LowSensing::recompute`
-/// and its hand-maintained 4-wide copy in `observe4` both evaluated per
-/// window change; deduplicating them here makes it impossible for the two
-/// to drift, and ladder construction reuses it so every rung is
-/// bit-identical to what the on-the-fly recompute produced for the same
-/// window (pinned by the `tests/ladder.rs` proptest). One `fast_ln` of the
+/// This is the reciprocal-form arithmetic `LowSensing` once evaluated on
+/// the fly after every window change; ladder construction reuses it, so
+/// every rung is bit-identical to what that recompute produced for the
+/// same window (pinned by the `tests/ladder.rs` proptest, which writes the
+/// recompute out inline). One `fast_ln` of the
 /// window, one reciprocal `x = 1/(c·ln w)` (bit-equal to
 /// `window::update_factor_ln(c, ln w) - 1`), and the send probability as
 /// pure multiplies: `1/(c·ln³ w) = x³·c²` exactly in real arithmetic.

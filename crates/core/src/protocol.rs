@@ -191,12 +191,6 @@ impl SparseProtocol for LowSensing {
         rng.bernoulli(self.row.p_send_given_listen)
     }
 
-    // No `observe4` override: the scalar `observe` is a rung step — a few
-    // integer ops and a pointer store with nothing left to batch — so the
-    // trait's default (four scalar calls, trivially bit-identical) is
-    // already optimal. The single source of the derived-row arithmetic is
-    // `ladder::derive`.
-
     #[inline]
     fn next_wake4(states: &mut [&mut Self; 4], rng: &mut SimRng) -> [Option<u64>; 4] {
         // Uniforms are drawn in ascending lane order, degenerate lanes
@@ -386,11 +380,11 @@ mod tests {
 
     #[test]
     fn batched_lanes_match_scalar_bitwise() {
-        // Long mixed feedback walks: after every batched observe4 +
-        // next_wake4 round, all four lane states and delays must equal the
-        // scalar path's exactly (PartialEq on LowSensing compares ladder
-        // and rung identity). Clamped parameters (p_listen = 1 at small w)
-        // exercise the degenerate no-draw lanes.
+        // Long mixed feedback walks: after every round of four observes
+        // and one batched next_wake4, all four lane states and delays must
+        // equal the scalar path's exactly (PartialEq on LowSensing compares
+        // ladder and rung identity). Clamped parameters (p_listen = 1 at
+        // small w) exercise the degenerate no-draw lanes.
         for params in [
             Params::default(),
             Params::new(1.0, 8.0).unwrap(),
@@ -415,12 +409,13 @@ mod tests {
                     p.observe(&o);
                     delays_s[lane] = p.next_wake(&mut rng_s);
                 }
+                for p in batched.iter_mut() {
+                    p.observe(&o);
+                }
                 let [a, b, c, d] = &mut batched[..] else {
                     unreachable!()
                 };
-                let mut lanes = [a, b, c, d];
-                LowSensing::observe4(&mut lanes, &o);
-                let delays_b = LowSensing::next_wake4(&mut lanes, &mut rng_b);
+                let delays_b = LowSensing::next_wake4(&mut [a, b, c, d], &mut rng_b);
                 assert_eq!(delays_s, delays_b, "step {step}");
                 assert_eq!(scalar, batched, "step {step}");
             }

@@ -27,6 +27,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Reports an output path the process cannot write and exits with the
+/// bad-input code.
+fn unwritable(path: impl AsRef<std::path::Path>, err: std::io::Error) -> ! {
+    eprintln!("campaign: cannot write {}: {err}", path.as_ref().display());
+    std::process::exit(2);
+}
+
 fn parse<T: std::str::FromStr>(value: Option<String>) -> T {
     value
         .and_then(|v| v.parse().ok())
@@ -72,11 +79,14 @@ fn main() {
         shards,
         seed
     );
+    // Opening the progress JSONL sink is the only way this fails.
     let result = spec
         .run_sharded_progress(shards, &progress)
-        .expect("open progress JSONL sink");
+        .unwrap_or_else(|e| unwritable(progress.jsonl.unwrap_or_default(), e));
     print!("{}", result.render());
     let path = out.unwrap_or_else(|| format!("CAMPAIGN_{}.json", result.name));
-    result.write_json(&path).expect("write campaign artifact");
+    result
+        .write_json(&path)
+        .unwrap_or_else(|e| unwritable(&path, e));
     eprintln!("campaign: wrote {path}");
 }

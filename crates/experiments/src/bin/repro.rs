@@ -8,7 +8,6 @@
 //! repro all --csv out/       # also write one CSV per table
 //! ```
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use lowsense_experiments::{registry, Scale};
@@ -16,6 +15,13 @@ use lowsense_experiments::{registry, Scale};
 fn usage() -> ! {
     eprintln!("usage: repro <list|all|ID...> [--quick] [--csv DIR]");
     eprintln!("       IDs: {}", ids().join(" "));
+    std::process::exit(2);
+}
+
+/// Reports an output path the process cannot write and exits with the
+/// bad-input code.
+fn unwritable(path: &str, err: std::io::Error) -> ! {
+    eprintln!("repro: cannot write {path}: {err}");
     std::process::exit(2);
 }
 
@@ -60,7 +66,7 @@ fn main() {
         }
     }
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv directory");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| unwritable(dir, e));
     }
 
     let total = Instant::now();
@@ -75,8 +81,7 @@ fn main() {
             println!("{}", t.render());
             if let Some(dir) = &csv_dir {
                 let path = format!("{dir}/{}.csv", t.id.to_lowercase());
-                let mut f = std::fs::File::create(&path).expect("create csv file");
-                f.write_all(t.to_csv().as_bytes()).expect("write csv");
+                std::fs::write(&path, t.to_csv()).unwrap_or_else(|e| unwritable(&path, e));
             }
         }
         println!(

@@ -1,0 +1,56 @@
+//! The binaries' output paths: one the process cannot write is bad input,
+//! so it must end in one line naming the path and exit code 2, not a
+//! panic.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Runs `bin args… <file>/<leaf>`, where `<file>` is a regular file under
+/// the test tmpdir, and checks the binary rejects that path cleanly. A
+/// path below a regular file is unwritable even for root.
+fn assert_rejects(bin: &str, args: &[&str], leaf: &str) {
+    let file = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli_{leaf}_{}", std::process::id()));
+    std::fs::write(&file, b"").expect("create the blocking file");
+    let bad = file.join(leaf);
+    let out = Command::new(bin)
+        .args(args)
+        .arg(&bad)
+        .output()
+        .expect("spawn the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&*bad.to_string_lossy()),
+        "{args:?}: the error does not name the path: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    std::fs::remove_file(&file).expect("remove the blocking file");
+}
+
+#[test]
+fn campaign_rejects_an_unwritable_artifact_path() {
+    assert_rejects(
+        env!("CARGO_BIN_EXE_campaign"),
+        &["faceoff", "--shards", "1", "--out"],
+        "x.json",
+    );
+}
+
+#[test]
+fn campaign_rejects_an_unwritable_progress_path() {
+    assert_rejects(
+        env!("CARGO_BIN_EXE_campaign"),
+        &["faceoff", "--shards", "1", "--progress-json"],
+        "p.jsonl",
+    );
+}
+
+#[test]
+fn repro_rejects_an_unwritable_csv_directory() {
+    assert_rejects(
+        env!("CARGO_BIN_EXE_repro"),
+        &["f3", "--quick", "--csv"],
+        "sub",
+    );
+}

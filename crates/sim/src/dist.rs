@@ -58,7 +58,8 @@ pub fn fast_ln(x: f64) -> f64 {
 }
 
 /// The normal-range core of [`fast_ln`], shared verbatim with [`fast_ln4`]
-/// so scalar and 4-lane evaluations are bit-identical per lane.
+/// so the scalar and 4-wide wake draws ([`geometric_inv`] and
+/// [`geometric4_inv`]) are bit-identical per lane.
 #[inline(always)]
 fn fast_ln_normal(x: f64) -> f64 {
     let bits = x.to_bits();
@@ -93,8 +94,8 @@ fn fast_ln_normal(x: f64) -> f64 {
 /// Each lane computes **exactly** the operations of the scalar [`fast_ln`]
 /// on its input, so `fast_ln4([a, b, c, d])` is bit-identical to
 /// `[fast_ln(a), fast_ln(b), fast_ln(c), fast_ln(d)]` — the property the
-/// batched observe/draw protocol path relies on to keep `RunResult`s
-/// bit-equal to the scalar engines. Lanes are independent straight-line
+/// batched wake draw relies on to keep `RunResult`s bit-equal to the
+/// scalar engines. Lanes are independent straight-line
 /// arithmetic on a fixed-size array (no `std::simd` needed); when every
 /// lane is in the normal range the whole array goes through the SIMD-friendly
 /// core, and the rare subnormal lane falls back to per-lane scalar calls
@@ -172,13 +173,12 @@ pub fn saturating_count(k: f64) -> u64 {
     }
 }
 
-/// `ln(1 - p)` for the fast geometric samplers, with full precision for
-/// tiny `p`.
+/// `ln(1 - p)` for [`geometric_fast`], with full precision for tiny `p`.
 ///
 /// For `p < 1e-8` the rounding of `1 - p` would lose the entire signal, so
 /// `ln_1p` is used; above that threshold the subtraction is exact to ~1e-8
 /// relative and the inlinable [`fast_ln`] applies. The threshold mirrors
-/// the cached-reciprocal path in `LowSensing::recompute`.
+/// the cached-reciprocal path in `lowsense::ladder::derive`.
 #[inline]
 fn ln_q_fast(p: f64) -> f64 {
     if p < 1e-8 {
@@ -189,14 +189,12 @@ fn ln_q_fast(p: f64) -> f64 {
 }
 
 /// [`geometric`] with the transcendentals routed through [`fast_ln`] /
-/// [`ln_1p`](f64::ln_1p): the scalar companion of [`geometric4`].
+/// [`ln_1p`](f64::ln_1p).
 ///
 /// Statistically indistinguishable from [`geometric`] (the log is accurate
 /// to ~1e-14 relative) but *not* bit-identical to it — protocols choose one
-/// family and stay with it. `geometric_fast` and [`geometric4`] **are**
-/// bit-identical lane-for-lane, which is what lets a protocol use the
-/// scalar form in `next_wake` and the 4-wide form in `next_wake4` while
-/// the engines stay bit-equal.
+/// family and stay with it, because switching moves every result they
+/// produce.
 ///
 /// # Panics
 ///
@@ -272,58 +270,6 @@ pub fn geometric4_inv(rng: &mut SimRng, p: [f64; 4], inv_ln_q: [f64; 4]) -> [u64
     for i in 0..4 {
         out[i] = if live[i] {
             saturating_count(ln_u[i] * inv_ln_q[i])
-        } else if p[i] >= 1.0 {
-            0
-        } else {
-            u64::MAX
-        };
-    }
-    out
-}
-
-/// Four geometric draws at per-lane success probabilities, 4-wide.
-///
-/// Consumes the RNG **in ascending lane order**, with degenerate lanes
-/// (`p ≤ 0` or `p ≥ 1`) drawing nothing — exactly the consumption pattern
-/// of four sequential [`geometric_fast`] calls, which this function is
-/// bit-identical to (the `geometric4_matches_scalar_bitwise` test pins
-/// it). The uniform draws are serialized by the RNG, but both logarithms
-/// evaluate through [`fast_ln4`]-style independent lanes the
-/// auto-vectorizer can overlap.
-///
-/// # Panics
-///
-/// Panics (debug builds) if any `p` is NaN.
-#[inline]
-// The negated guards reproduce `geometric_fast`'s exact branch structure
-// (including where a contract-violating NaN would flow), which the
-// bit-identity contract of the batch pins.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn geometric4(rng: &mut SimRng, p: [f64; 4]) -> [u64; 4] {
-    let mut u = [1.0f64; 4];
-    let mut q = [0.5f64; 4];
-    let mut live = [false; 4];
-    for i in 0..4 {
-        debug_assert!(!p[i].is_nan(), "geometric probability must not be NaN");
-        // Mirror geometric_fast's guard structure exactly (`!(..)` so a
-        // contract-violating NaN takes the same path as the scalar form).
-        if !(p[i] >= 1.0) && !(p[i] <= 0.0) {
-            u[i] = 1.0 - rng.f64();
-            q[i] = 1.0 - p[i];
-            live[i] = true;
-        }
-    }
-    let ln_u = fast_ln4(u);
-    let ln_q = fast_ln4(q);
-    let mut out = [0u64; 4];
-    for i in 0..4 {
-        out[i] = if live[i] {
-            let lq = if p[i] < 1e-8 {
-                (-p[i]).ln_1p()
-            } else {
-                ln_q[i]
-            };
-            saturating_count(ln_u[i] / lq)
         } else if p[i] >= 1.0 {
             0
         } else {
@@ -789,36 +735,6 @@ mod tests {
         let mut rng = SimRng::new(32);
         let x = geometric_fast(&mut rng, 1e-12);
         assert!(x > 1_000, "x = {x}");
-    }
-
-    #[test]
-    fn geometric4_matches_scalar_bitwise() {
-        // Same seed ⇒ geometric4 must reproduce four sequential
-        // geometric_fast draws exactly, including degenerate lanes that
-        // consume no randomness.
-        let lane_sets: [[f64; 4]; 5] = [
-            [0.3, 0.3, 0.3, 0.3],
-            [0.9, 0.01, 1e-10, 0.5],
-            [1.0, 0.2, 0.0, 0.7],  // mixed degenerate / live
-            [0.0, 1.0, 2.0, -0.5], // all degenerate: no RNG consumed
-            [1e-9, 1e-7, 0.999, 0.5],
-        ];
-        for p in lane_sets {
-            let mut a = SimRng::new(77);
-            let mut b = SimRng::new(77);
-            for _ in 0..5_000 {
-                let batch = geometric4(&mut a, p);
-                let scalar = [
-                    geometric_fast(&mut b, p[0]),
-                    geometric_fast(&mut b, p[1]),
-                    geometric_fast(&mut b, p[2]),
-                    geometric_fast(&mut b, p[3]),
-                ];
-                assert_eq!(batch, scalar, "p={p:?}");
-            }
-            // Streams must be in lockstep afterwards too.
-            assert_eq!(a.next_u64(), b.next_u64(), "p={p:?}");
-        }
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! scattered heap traffic even at million-station horizons; per-packet
 //! state lives in the epoch-compacted
 //! [`PacketTable`], which keeps the live
-//! population dense in memory as the run drains; and the listener loop runs
-//! four packets at a time through the protocol layer's batched observe/draw
-//! surface ([`SparseProtocol::observe4`] / [`SparseProtocol::next_wake4`]),
-//! which evaluates the per-listen transcendentals SIMD-wide (see
-//! `BENCH_engine.json`, which records this engine and the reference on a
-//! bit-identical workload).
+//! population dense in memory as the run drains; and the listener loop
+//! draws wakes four packets at a time through the protocol layer's batched
+//! wake draw ([`SparseProtocol::next_wake4`]), which evaluates the
+//! per-listen logarithm SIMD-wide (see `BENCH_engine.json`, which records
+//! this engine and the reference on a bit-identical workload).
 //!
 //! The loop body is generic over the wake set (the `WakeSet` trait): the
 //! production entry point [`run_sparse`] instantiates it with the wheel,
@@ -184,15 +183,16 @@ where
 /// (interleaved reference loop, two-pass, three-pass): the RNG stream,
 /// the hook sequence, the contention accumulation order, and the
 /// `queue.schedule` call order are all exactly the reference oracle's.
-/// The observe and wake passes run four listeners at a time through the
-/// protocol's batched observe/draw surface (`observe4` / `next_wake4`),
-/// whose contract is bit-identical lanes in cohort order; the wake pass
-/// parks its `wake_slot` results in the caller's `wakes` buffer so the
-/// schedule pass streams the queue without re-touching the state arena.
-/// Cohort collection is trivial: `listeners` is already in the slot's
-/// insertion order (the reference oracle's processing order), so the
-/// cohorts are consecutive quadruples, with the tail (< 4 packets) going
-/// through the scalar methods the defaults fall back to anyway.
+/// The observe pass is a scalar sweep through `observe_one`, like the
+/// sender pass. The wake pass draws four listeners at a time through the
+/// protocol's batched wake draw ([`SparseProtocol::next_wake4`]), whose
+/// contract is bit-identical lanes in cohort order, and parks its
+/// `wake_slot` results in the caller's `wakes` buffer so the schedule
+/// pass streams the queue without re-touching the state arena. Cohort
+/// collection is trivial: `listeners` is already in the slot's insertion
+/// order (the reference oracle's processing order), so the cohorts are
+/// consecutive quadruples, with the tail (< 4 packets) going through the
+/// scalar `next_wake` the default falls back to anyway.
 #[allow(clippy::too_many_arguments)]
 fn slot_passes<P, A, J, M, H, Q, S>(
     arena: &mut S,
@@ -225,57 +225,9 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     // them ahead of the draws leaves the RNG stream untouched, and the
     // contention f64s are added in the same insertion order as the
     // reference loop.
-    let mut quads = listeners.chunks_exact(4);
-    let mut quads_pos = listeners_pos.chunks_exact(4);
-    for (quad, quad_pos) in quads.by_ref().zip(quads_pos.by_ref()) {
-        let mut lanes = arena.four_at([quad_pos[0], quad_pos[1], quad_pos[2], quad_pos[3]]);
-        if hooks.wants_observe() {
-            let before = [
-                lanes[0].clone(),
-                lanes[1].clone(),
-                lanes[2].clone(),
-                lanes[3].clone(),
-            ];
-            P::observe4(&mut lanes, &obs);
-            for (k, &id) in quad.iter().enumerate() {
-                core.metrics.note_listen(id);
-                *contention += lanes[k].send_probability() - before[k].send_probability();
-                hooks.on_observe(te, id, &before[k], &*lanes[k]);
-            }
-        } else {
-            // Inert hooks: the `before` states exist only to feed
-            // `on_observe`, so skip the clones and keep just the prior
-            // send probabilities. The contention update below adds the
-            // exact same f64s in the exact same order as the cloning
-            // branch, so results stay bit-identical.
-            let before_sp = [
-                lanes[0].send_probability(),
-                lanes[1].send_probability(),
-                lanes[2].send_probability(),
-                lanes[3].send_probability(),
-            ];
-            P::observe4(&mut lanes, &obs);
-            for (k, &id) in quad.iter().enumerate() {
-                core.metrics.note_listen(id);
-                *contention += lanes[k].send_probability() - before_sp[k];
-            }
-        }
-    }
-    for (&id, &pos) in quads.remainder().iter().zip(quads_pos.remainder()) {
+    for (&id, &pos) in listeners.iter().zip(listeners_pos) {
         core.metrics.note_listen(id);
-        let p = arena.at_mut(pos);
-        if hooks.wants_observe() {
-            let before = p.clone();
-            p.observe(&obs);
-            *contention += p.send_probability() - before.send_probability();
-            hooks.on_observe(te, id, &before, p);
-        } else {
-            // Same clone elision as the quad path (see above): identical
-            // arithmetic, no state pair materialized for inert hooks.
-            let before_sp = p.send_probability();
-            p.observe(&obs);
-            *contention += p.send_probability() - before_sp;
-        }
+        observe_one(arena.at_mut(pos), &obs, te, id, hooks, contention);
     }
     hooks.on_phase(Phase::Observe);
 
@@ -321,17 +273,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
         let succeeded = winner == Some(id);
         let obs = Observation::sender(te, model.sender_feedback(outcome, succeeded), succeeded);
         let p = arena.at_mut(pos);
-        if hooks.wants_observe() {
-            let before = p.clone();
-            p.observe(&obs);
-            *contention += p.send_probability() - before.send_probability();
-            hooks.on_observe(te, id, &before, p);
-        } else {
-            // Same clone elision as the listener paths above.
-            let before_sp = p.send_probability();
-            p.observe(&obs);
-            *contention += p.send_probability() - before_sp;
-        }
+        observe_one(p, &obs, te, id, hooks, contention);
         if !succeeded {
             let delay = p.next_wake(&mut core.rng);
             if let Some(slot) = wake_slot(te + 1, delay) {
@@ -340,6 +282,38 @@ fn slot_passes<P, A, J, M, H, Q, S>(
         }
     }
     hooks.on_phase(Phase::Senders);
+}
+
+/// Delivers `obs` to one participant and adds its send-probability change
+/// to `contention`: the one observe step of the listener and sender
+/// passes.
+///
+/// Hook sets that want observations get the before/after state pair.
+/// Inert ones ([`Hooks::wants_observe`] `false`) skip the clone and keep
+/// only the prior send probability; the contention update adds the exact
+/// same f64 either way, so results stay bit-identical.
+#[inline]
+fn observe_one<P, H>(
+    p: &mut P,
+    obs: &Observation,
+    te: Slot,
+    id: PacketId,
+    hooks: &mut H,
+    contention: &mut f64,
+) where
+    P: SparseProtocol,
+    H: Hooks<P>,
+{
+    if hooks.wants_observe() {
+        let before = p.clone();
+        p.observe(obs);
+        *contention += p.send_probability() - before.send_probability();
+        hooks.on_observe(te, id, &before, p);
+    } else {
+        let before_sp = p.send_probability();
+        p.observe(obs);
+        *contention += p.send_probability() - before_sp;
+    }
 }
 
 /// The sparse loop's per-slot buffers: refilled every event slot, kept
@@ -773,6 +747,7 @@ mod tests {
     use crate::feedback::Intent;
     use crate::hooks::NoHooks;
     use crate::jamming::{NoJam, PeriodicBurst, RandomJam, ReactiveAny};
+    use crate::metrics::MetricsConfig;
     use crate::protocol::Protocol;
 
     /// Memoryless access-probability protocol; sends on every access.
@@ -991,6 +966,73 @@ mod tests {
         assert_eq!(r.totals.successes, 300);
         hooks.seen.sort_unstable();
         assert_eq!(hooks.seen, (0..300).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn observing_hooks_never_perturb_a_run() {
+        /// 64 bytes, so 70k packets make a 4.5 MB lane. Sends on half its
+        /// accesses and halves `p` on its own collisions, so the sender
+        /// observes move the contention.
+        #[derive(Clone)]
+        struct Halving([f64; 8]);
+        impl Protocol for Halving {
+            fn intent(&mut self, rng: &mut SimRng) -> Intent {
+                if !rng.bernoulli(self.0[0]) {
+                    Intent::Sleep
+                } else if rng.bernoulli(0.5) {
+                    Intent::Send
+                } else {
+                    Intent::Listen
+                }
+            }
+            fn observe(&mut self, obs: &Observation) {
+                if obs.sent && !obs.succeeded {
+                    self.0[0] *= 0.5;
+                }
+            }
+            fn send_probability(&self) -> f64 {
+                0.5 * self.0[0]
+            }
+            fn next_wake(&mut self, rng: &mut SimRng) -> Option<u64> {
+                Some(geometric(rng, self.0[0]))
+            }
+        }
+        impl SparseProtocol for Halving {
+            fn send_on_access(&mut self, rng: &mut SimRng) -> bool {
+                rng.bernoulli(0.5)
+            }
+        }
+        /// Leaves `wants_observe` at its `true` default, so the passes
+        /// clone a before-state for every observation.
+        struct CountObserves(u64);
+        impl Hooks<Halving> for CountObserves {
+            fn on_observe(&mut self, _t: Slot, _id: PacketId, _b: &Halving, _a: &Halving) {
+                self.0 += 1;
+            }
+        }
+        fn run<H: Hooks<Halving>>(n: u64, horizon: Slot, hooks: &mut H) -> RunResult {
+            let cfg = SimConfig::new(13)
+                .limits(Limits::until_slot(horizon))
+                .metrics(MetricsConfig::default().with_series(1.05));
+            let factory = |_: &mut SimRng| Halving([0.2; 8]);
+            run_sparse(&cfg, Batch::new(n), RandomJam::new(0.1), factory, hooks)
+        }
+        assert_eq!(std::mem::size_of::<Halving>(), 64);
+        // A fifth of the batch accesses in each opening slot: the small
+        // batch stays on the direct path, the large one stages.
+        assert!(!staging_applies(4096 / 5, 4096 * 64));
+        assert!(staging_applies(70_000 / 5, 70_000 * 64));
+        for (n, horizon) in [(4096, 5_000), (70_000, 64)] {
+            let bare = run(n, horizon, &mut NoHooks);
+            let mut count = CountObserves(0);
+            let hooked = run(n, horizon, &mut count);
+            assert_eq!(hooked.totals, bare.totals, "n = {n}");
+            assert_eq!(hooked.access_counts(), bare.access_counts(), "n = {n}");
+            assert_eq!(hooked.series, bare.series, "n = {n}");
+            assert!(!bare.series.is_empty(), "n = {n}");
+            let t = &bare.totals;
+            assert_eq!(count.0, t.listens + t.sends, "n = {n}");
+        }
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub(crate) trait SlotArena<P> {
     /// The state at per-slot position `pos`.
     fn at_mut(&mut self, pos: u32) -> &mut P;
     /// Four distinct positions' states as a batch-lane array for the
-    /// 4-wide observe/draw surface.
+    /// 4-wide wake draw.
     fn four_at(&mut self, pos: [u32; 4]) -> [&mut P; 4];
 }
 

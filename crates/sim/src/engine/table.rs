@@ -286,28 +286,10 @@ impl<P> PacketTable<P> {
         PacketId(self.ids[d.index()])
     }
 
-    /// Gathers four distinct live packets' states as a batch-lane array for
-    /// the 4-wide observe/draw surface
-    /// ([`SparseProtocol::observe4`](crate::protocol::SparseProtocol::observe4)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are not distinct and live.
-    #[inline]
-    pub fn lanes4(&mut self, ids: [PacketId; 4]) -> [&mut P; 4] {
-        let idx = ids.map(|id| {
-            let i = self.index_of[id.index()];
-            debug_assert_ne!(i, VACANT, "lane access to departed {id}");
-            i as usize
-        });
-        self.states
-            .get_disjoint_mut(idx)
-            .expect("lane ids are distinct and live")
-    }
-
     /// Gathers four distinct resolved handles' states as a batch-lane
-    /// array — the handle-based twin of [`lanes4`](Self::lanes4), touching
-    /// only the hot lane.
+    /// array for the 4-wide wake draw
+    /// ([`SparseProtocol::next_wake4`](crate::protocol::SparseProtocol::next_wake4)),
+    /// touching only the hot lane.
     ///
     /// # Panics
     ///
@@ -481,9 +463,8 @@ mod tests {
         t.compact();
         assert_eq!(*t.state(PacketId(5)), 1015, "pre-compaction write kept");
         *t.state_mut(PacketId(5)) -= 10;
-        let lanes = t.lanes4([PacketId(1), PacketId(3), PacketId(4), PacketId(7)]);
-        assert_eq!(*lanes[0], 1001);
-        assert_eq!(*lanes[3], 1007);
+        assert_eq!(*t.state(PacketId(1)), 1001);
+        assert_eq!(*t.state(PacketId(7)), 1007);
         t.retire(PacketId(5));
         assert_consistent(&t, &[1, 3, 4, 7]);
     }
@@ -666,20 +647,5 @@ mod tests {
                 "round {round}: dense order diverged from id order"
             );
         }
-    }
-
-    #[test]
-    fn lanes4_resolves_through_the_remap() {
-        let mut t = table_of(12);
-        for id in [0, 2, 4, 6] {
-            t.retire(PacketId(id));
-        }
-        t.compact();
-        let lanes = t.lanes4([PacketId(11), PacketId(1), PacketId(7), PacketId(3)]);
-        assert_eq!(
-            [*lanes[0], *lanes[1], *lanes[2], *lanes[3]],
-            [1011, 1001, 1007, 1003],
-            "unsorted lane ids gather their own states"
-        );
     }
 }

@@ -8,23 +8,21 @@
 //! [`SparseProtocol`] is the refinement that unlocks the exact event-driven
 //! engine: protocols whose state is frozen between channel accesses and
 //! whose next access time is samplable in closed form. Its defaulted
-//! [`observe4`](SparseProtocol::observe4) /
-//! [`next_wake4`](SparseProtocol::next_wake4) methods form the batched
-//! observe/draw surface: engines feed same-slot listener cohorts through
-//! them four at a time, and protocols whose per-listener math vectorizes
-//! (window updates, geometric redraws) override them with 4-wide
-//! implementations that stay bit-identical to the scalar path.
+//! [`next_wake4`](SparseProtocol::next_wake4) method is the batched wake
+//! draw: the sparse engine feeds same-slot listener cohorts through it
+//! four at a time, and the low-sensing protocols override it with a
+//! 4-wide geometric redraw that stays bit-identical to the scalar path.
 
 use crate::feedback::{Intent, Observation};
 use crate::rng::SimRng;
 
-/// Lane count of the batched observe/draw protocol surface
-/// ([`SparseProtocol::observe4`] / [`SparseProtocol::next_wake4`]).
+/// Lane count of the batched wake draw
+/// ([`SparseProtocol::next_wake4`]).
 ///
 /// Four `f64` lanes fill one AVX register (and two SSE2 registers), which
 /// is the widest batch the auto-vectorizer reliably profits from without
-/// `std::simd`; the engines chunk listener cohorts at this width and
-/// handle the remainder through the scalar methods.
+/// `std::simd`; the sparse engine chunks listener cohorts at this width
+/// and draws the remainder through the scalar [`Protocol::next_wake`].
 pub const BATCH_LANES: usize = 4;
 
 /// Per-packet contention-resolution state machine.
@@ -90,47 +88,23 @@ pub trait SparseProtocol: Protocol {
     /// transmits (otherwise it listens only).
     fn send_on_access(&mut self, rng: &mut SimRng) -> bool;
 
-    /// Delivers the same observation to four packets at once.
-    ///
-    /// This is the batched half of the engines' listener *observation
-    /// pass*: every lane heard the same slot, so a symmetric protocol can
-    /// evaluate four window updates as independent straight-line lanes the
-    /// auto-vectorizer overlaps, instead of serializing four scalar
-    /// [`Protocol::observe`] calls.
-    ///
-    /// # Contract
-    ///
-    /// Must leave every lane in **exactly** the state four scalar
-    /// `observe(obs)` calls would (bit-identical floats, not merely close):
-    /// the sparse engine uses this method while its reference oracle uses
-    /// the scalar path, and `tests/sparse_equivalence.rs` compares complete
-    /// `RunResult`s with exact equality. Observations draw no randomness,
-    /// so lane order within the batch is unobservable; the default simply
-    /// falls back to the scalar method per lane. (The engines fill lanes
-    /// in cohort order — the slot's insertion order — but a conforming
-    /// implementation never depends on which packet rides which lane.)
-    fn observe4(states: &mut [&mut Self; BATCH_LANES], obs: &Observation)
-    where
-        Self: Sized,
-    {
-        for s in states.iter_mut() {
-            s.observe(obs);
-        }
-    }
-
     /// Samples four packets' next-wake delays at once.
     ///
-    /// The batched half of the engines' *wake pass*. Unlike
-    /// [`observe4`](SparseProtocol::observe4) this consumes randomness, so
-    /// the contract pins the order: RNG values must be drawn **in
-    /// ascending lane order** (lane 0 first; the engines fill lanes in
-    /// cohort order, i.e. the slot's insertion order), with each lane
-    /// drawing exactly what its scalar [`Protocol::next_wake`] would
+    /// The batched half of the sparse engine's *wake pass*, which feeds
+    /// each slot's listeners through it four at a time. It consumes
+    /// randomness, so the contract pins the order: RNG values must be
+    /// drawn **in ascending lane order** (lane 0 first; the engine fills
+    /// lanes in cohort order, i.e. the slot's insertion order), with each
+    /// lane drawing exactly what its scalar [`Protocol::next_wake`] would
     /// (including lanes that draw nothing), and each lane's returned delay
-    /// must be bit-identical to the scalar call's. Overrides typically draw the lanes' uniforms
-    /// sequentially and then evaluate the logarithms 4-wide (see
-    /// [`geometric4`](crate::dist::geometric4)); the default falls back to
-    /// the scalar method per lane.
+    /// must be bit-identical to the scalar call's: the sparse engine uses
+    /// this method while its reference oracle uses the scalar path, and
+    /// `tests/sparse_equivalence.rs` compares complete `RunResult`s with
+    /// exact equality. Overrides draw the lanes' uniforms sequentially and
+    /// then evaluate the logarithms 4-wide (see
+    /// [`geometric4_inv`](crate::dist::geometric4_inv)); the default falls
+    /// back to the scalar method per lane. Only protocols that can listen
+    /// (`send_on_access` sometimes `false`) ever reach it.
     fn next_wake4(
         states: &mut [&mut Self; BATCH_LANES],
         rng: &mut SimRng,

@@ -298,16 +298,13 @@ fn saturated_wake_slots_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One registry sweep mixing batch-capable protocols with scalar-only
-    /// ones (`PolynomialBackoff` and `CjpMwu` ride the defaulted
-    /// fallbacks): whichever path a listener cohort takes, the
-    /// calendar-queue engine must stay bit-identical to the heap
-    /// reference. Of the batch-capable set, `LowSensing` and
-    /// `LowSensingVariant` actually reach their overrides through the
-    /// engine's listener cohorts; the oblivious always-send baselines
-    /// (`ProbBeb`, `SlottedAloha`, `WindowedBeb`) never listen, so their
-    /// overrides are pinned by direct unit tests in `lowsense-baselines`
-    /// and these cases regression-test their (shared) scalar path.
+    /// One registry sweep mixing the protocols that override the batched
+    /// wake draw (`LowSensing`, `LowSensingVariant`), one that listens
+    /// through its defaulted per-lane fallback (`CjpMwu`), and the
+    /// always-send baselines (`ProbBeb`, `SlottedAloha`, `WindowedBeb`,
+    /// `PolynomialBackoff`), which never listen and so never reach it:
+    /// whichever path a listener cohort takes, the calendar-queue engine
+    /// must stay bit-identical to the heap reference.
     #[test]
     fn mixed_batch_and_scalar_protocols_bit_identical(
         scenario_idx in 0usize..64,
@@ -322,7 +319,8 @@ proptest! {
             .until_slot(10_000);
         let what = format!("{} (seed {seed}, protocol {protocol})", s.name());
         match protocol {
-            // Batch-capable protocols.
+            // The paper's protocol (batched wake draw), then three
+            // always-send baselines.
             0 => assert_identical(&s.run_sparse(lsb()), &s.run_sparse_reference(lsb()), &what),
             1 => assert_identical(
                 &s.run_sparse(|_| ProbBeb::new(0.25)),
@@ -339,8 +337,8 @@ proptest! {
                 &s.run_sparse_reference(|rng| WindowedBeb::new(4, 16, rng)),
                 &what,
             ),
-            // Scalar-only protocols (defaulted observe4/next_wake4),
-            // plus the engine-reachable batched variant below (case 6).
+            // One more always-send baseline, CJP on the defaulted
+            // next_wake4, and the batched variant below (case 6).
             4 => assert_identical(
                 &s.run_sparse(|rng| PolynomialBackoff::new(4, 2, rng)),
                 &s.run_sparse_reference(|rng| PolynomialBackoff::new(4, 2, rng)),
