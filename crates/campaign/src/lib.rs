@@ -55,7 +55,7 @@
 //! * [`seed`] — the `(campaign_seed, cell_index, replicate)` → run-seed
 //!   derivation and its collision argument.
 //! * [`pool`] — the work-stealing shard pool (also the executor behind
-//!   `lowsense-experiments`' `monte_carlo`).
+//!   [`shard_map`] for jobs that are not campaign cells).
 //! * [`cell`] — mergeable per-cell statistics (exact integer sums +
 //!   `Welford`/sketch/histogram accumulators).
 //! * [`exec`] — serial reference and sharded executors, plus the

@@ -5,8 +5,9 @@
 //! order. Idle shards steal the next unclaimed job through a shared atomic
 //! cursor, so the *assignment* of jobs to threads is nondeterministic —
 //! which is exactly why everything built on top (the campaign executors,
-//! `lowsense-experiments`' `monte_carlo`) must derive a job's behaviour
-//! from its index alone, never from which shard ran it.
+//! and experiments that map seeds from [`crate::seed::cell_seed`]) must
+//! derive a job's behaviour from its index alone, never from which shard
+//! ran it.
 //!
 //! # Panic containment
 //!

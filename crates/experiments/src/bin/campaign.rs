@@ -16,6 +16,8 @@
 //! canary enforces by running the tiny face-off at 1 and 4 shards (and
 //! with/without `--progress-json`) and failing on any byte difference.
 
+use std::num::NonZeroUsize;
+
 use lowsense_experiments::campaigns;
 use lowsense_experiments::common::pow2_sweep;
 
@@ -51,7 +53,7 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--shards" => shards = Some(parse(it.next())),
+            "--shards" => shards = Some(parse::<NonZeroUsize>(it.next()).get()),
             "--seed" => seed = parse(it.next()),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage())),
             "--full" => full = true,

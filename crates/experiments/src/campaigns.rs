@@ -3,8 +3,7 @@
 //!
 //! The protocol face-off is *the* showcase sweep: every contending
 //! protocol over the same batch-drain scenario axis, paired seeds, one
-//! mergeable statistics pass — replacing the bespoke
-//! `monte_carlo`-per-protocol loops T2 used to hand-roll.
+//! mergeable statistics pass.
 
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{

@@ -1,17 +1,15 @@
-//! Shared measurement helpers used across experiments.
+//! Shared helpers used across experiments.
 //!
-//! Experiments describe workloads as [`Scenario`] values (usually starting
-//! from the canonical constructors in
-//! [`lowsense_sim::scenario::scenarios`]) and run protocols over them with
-//! the factories below.
+//! Experiments describe workloads as [`Scenario`](lowsense_sim::scenario::Scenario)
+//! values (usually starting from the canonical constructors in
+//! [`lowsense_sim::scenario::scenarios`]) and sweep them as
+//! [`CampaignSpec`](lowsense_campaign::CampaignSpec) grids, running
+//! protocols with the factories below.
 
 use lowsense::{LowSensing, Params};
-use lowsense_sim::arrivals::{ArrivalProcess, Batch};
-use lowsense_sim::jamming::{Jammer, NoJam};
-use lowsense_sim::metrics::RunResult;
+use lowsense_campaign::ScenarioPoint;
 use lowsense_sim::rng::SimRng;
-use lowsense_sim::scenario::{scenarios, Scenario};
-use lowsense_stats::{quantile, Summary};
+use lowsense_sim::scenario::scenarios;
 
 pub use lowsense::lsb;
 
@@ -20,80 +18,14 @@ pub fn lsb_with(params: Params) -> impl FnMut(&mut SimRng) -> LowSensing {
     move |_| LowSensing::new(params)
 }
 
-/// Totals-only seeded batch — the common sweep point for protocol
-/// comparisons (T2, F5, …).
-pub fn batch_totals(n: u64, seed: u64) -> Scenario<Batch, NoJam> {
-    scenarios::batch_drain(n).seed(seed).totals_only()
-}
-
-/// Runs `LOW-SENSING BACKOFF` (default parameters) over `scenario` on the
-/// sparse engine.
-pub fn run_lsb<A, J>(scenario: &Scenario<A, J>) -> RunResult
-where
-    A: ArrivalProcess + Clone,
-    J: Jammer + Clone,
-{
-    scenario.run_sparse(lsb())
-}
-
-/// Per-packet energy digest of one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyDigest {
-    /// Mean accesses per delivered packet.
-    pub mean: f64,
-    /// Median.
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl EnergyDigest {
-    /// Digests a run's per-packet access counts.
-    ///
-    /// Returns the zero digest when no packet was delivered or per-packet
-    /// stats were disabled.
-    pub fn of(result: &RunResult) -> Self {
-        let counts = result.access_counts();
-        if counts.is_empty() {
-            return EnergyDigest {
-                mean: 0.0,
-                p50: 0.0,
-                p99: 0.0,
-                max: 0.0,
-            };
-        }
-        let (p50, _, p99, max) = lowsense_stats::tail_summary(&counts);
-        EnergyDigest {
-            mean: Summary::of_counts(&counts).mean,
-            p50,
-            p99,
-            max,
-        }
-    }
-
-    /// Pools several digests by averaging the means and taking the worst
-    /// tails (conservative aggregation across seeds).
-    pub fn pool(digests: &[EnergyDigest]) -> Self {
-        assert!(!digests.is_empty(), "pooling empty digest set");
-        EnergyDigest {
-            mean: digests.iter().map(|d| d.mean).sum::<f64>() / digests.len() as f64,
-            p50: quantile(&digests.iter().map(|d| d.p50).collect::<Vec<_>>(), 0.5),
-            p99: digests.iter().map(|d| d.p99).fold(0.0, f64::max),
-            max: digests.iter().map(|d| d.max).fold(0.0, f64::max),
-        }
-    }
-}
-
-/// Mean of an iterator of `f64` (0 for empty).
-pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = xs.into_iter().collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
+/// The ablations' scenario axis: a clean batch of `n` and the same batch
+/// under random jamming at rate `rho`, labelled by their table's jam
+/// column (`none`, `ρ=<rho>`).
+pub fn ablation_batches(n: u64, rho: f64) -> [ScenarioPoint; 2] {
+    [
+        ScenarioPoint::new(scenarios::batch_drain(n).boxed()).labeled("none"),
+        ScenarioPoint::new(scenarios::random_jam_batch(n, rho).boxed()).labeled(format!("ρ={rho}")),
+    ]
 }
 
 /// Geometric sweep `base^lo ..= base^hi` as `u64`s.
@@ -104,49 +36,9 @@ pub fn pow2_sweep(lo: u32, hi: u32) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowsense_sim::scenario::scenarios;
-
-    #[test]
-    fn run_lsb_drains_batch() {
-        let r = run_lsb(&scenarios::batch_drain(64).seed(1));
-        assert!(r.drained());
-    }
-
-    #[test]
-    fn energy_digest_orders() {
-        let r = run_lsb(&scenarios::batch_drain(256).seed(2));
-        let d = EnergyDigest::of(&r);
-        assert!(d.mean > 0.0);
-        assert!(d.p50 <= d.p99 && d.p99 <= d.max);
-    }
-
-    #[test]
-    fn pool_takes_worst_tails() {
-        let a = EnergyDigest {
-            mean: 10.0,
-            p50: 9.0,
-            p99: 20.0,
-            max: 30.0,
-        };
-        let b = EnergyDigest {
-            mean: 20.0,
-            p50: 18.0,
-            p99: 25.0,
-            max: 28.0,
-        };
-        let p = EnergyDigest::pool(&[a, b]);
-        assert!((p.mean - 15.0).abs() < 1e-12);
-        assert_eq!(p.p99, 25.0);
-        assert_eq!(p.max, 30.0);
-    }
 
     #[test]
     fn sweep_shape() {
         assert_eq!(pow2_sweep(3, 6), vec![8, 16, 32, 64]);
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(mean(std::iter::empty()), 0.0);
     }
 }

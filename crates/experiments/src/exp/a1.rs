@@ -7,17 +7,33 @@
 //! without jamming, and report the throughput/energy trade-off.
 
 use lowsense::Params;
-use lowsense_sim::scenario::scenarios;
+use lowsense_campaign::CampaignSpec;
 
-use crate::common::{lsb_with, mean, EnergyDigest};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::{ablation_batches, lsb_with};
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed A1 sweeps under.
+const A1_SEED: u64 = 0xA_1;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let n: u64 = scale.pick(1 << 10, 1 << 13);
     // w_min = 4 requires c ≥ 1/ln³4 ≈ 0.375 for p_send|listen ≤ 1.
-    let cs = [0.4, 0.5, 0.75, 1.0, 2.0, 4.0];
+    let params: Vec<Params> = [0.4, 0.5, 0.75, 1.0, 2.0, 4.0]
+        .into_iter()
+        .map(|c| Params::new(c, 4.0).expect("valid sweep point"))
+        .collect();
+    let mut spec = CampaignSpec::new("a1_constant_c")
+        .seed(A1_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ablation_batches(n, 0.1));
+    for &p in &params {
+        spec = spec.protocol(format!("c={}", p.c()), move |sc, _| {
+            sc.run_sparse(lsb_with(p))
+        });
+    }
+    let result = spec.run();
     let mut table = Table::new(
         "A1",
         format!("constant-c sweep (batch N={n}, w_min=4): throughput vs energy"),
@@ -31,34 +47,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "listen_cap_ok",
     ]);
 
-    for &c in &cs {
-        let params = Params::new(c, 4.0).expect("valid sweep point");
-        for jam in [false, true] {
-            let results = monte_carlo(
-                140_000 + (c * 100.0) as u64 + jam as u64,
-                scale.seeds(),
-                |seed| {
-                    if jam {
-                        scenarios::random_jam_batch(n, 0.1)
-                            .seed(seed)
-                            .run_sparse(lsb_with(params))
-                    } else {
-                        scenarios::batch_drain(n)
-                            .seed(seed)
-                            .run_sparse(lsb_with(params))
-                    }
-                },
-            );
-            let tp = mean(results.iter().map(|r| r.totals.throughput()));
-            let digest =
-                EnergyDigest::pool(&results.iter().map(EnergyDigest::of).collect::<Vec<_>>());
+    for (pi, p) in params.iter().enumerate() {
+        for si in 0..2 {
+            let cell = result.cell(si, pi);
+            let stats = &cell.stats;
             table.row(vec![
-                Cell::Float(c, 2),
-                Cell::text(if jam { "ρ=0.1" } else { "none" }),
-                Cell::Float(tp, 3),
-                Cell::Float(digest.mean, 1),
-                Cell::Float(digest.max, 0),
-                Cell::text(if params.respects_listen_cap() {
+                Cell::Float(p.c(), 2),
+                Cell::text(cell.scenario.clone()),
+                Cell::Float(stats.throughput.mean(), 3),
+                Cell::Float(stats.accesses.mean(), 1),
+                Cell::Float(stats.accesses.max(), 0),
+                Cell::text(if p.respects_listen_cap() {
                     "yes"
                 } else {
                     "clamped"

@@ -8,15 +8,34 @@
 //! the algorithm fixed and measure what breaks.
 
 use lowsense_baselines::{LowSensingVariant, VariantConfig};
-use lowsense_sim::scenario::scenarios;
+use lowsense_campaign::CampaignSpec;
 
-use crate::common::{mean, EnergyDigest};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::ablation_batches;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed A2 sweeps under.
+const A2_SEED: u64 = 0xA_2;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let n: u64 = scale.pick(1 << 10, 1 << 13);
+    let mut spec = CampaignSpec::new("a2_listen_exponent")
+        .seed(A2_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ablation_batches(n, 0.1));
+    for k in 0..=3i32 {
+        // c = 1 keeps the coupled conditional probability ≤ 1 for every k
+        // at w_min = 4 (1/(c·ln^k 4) ≤ 1 ⇔ c·ln^k(4) ≥ 1; ln 4 ≈ 1.39).
+        let cfg = VariantConfig {
+            listen_exponent: k,
+            ..VariantConfig::paper(1.0, 4.0)
+        };
+        spec = spec.protocol(format!("k={k}"), move |sc, _| {
+            sc.run_sparse(|_| LowSensingVariant::new(cfg))
+        });
+    }
+    let result = spec.run();
     let mut table = Table::new(
         "A2",
         format!("listening exponent k in p_listen = c·ln^k(w)/w (batch N={n}, c=1)"),
@@ -30,39 +49,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "max_accesses",
     ]);
 
-    for k in 0..=3i32 {
-        // c = 1 keeps the coupled conditional probability ≤ 1 for every k
-        // at w_min = 4 (1/(c·ln^k 4) ≤ 1 ⇔ c·ln^k(4) ≥ 1; ln 4 ≈ 1.39).
-        let cfg = VariantConfig {
-            listen_exponent: k,
-            ..VariantConfig::paper(1.0, 4.0)
-        };
-        for jam in [false, true] {
-            let results = monte_carlo(
-                150_000 + k as u64 * 10 + jam as u64,
-                scale.seeds(),
-                |seed| {
-                    if jam {
-                        scenarios::random_jam_batch(n, 0.1)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    } else {
-                        scenarios::batch_drain(n)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    }
-                },
-            );
-            let tp = mean(results.iter().map(|r| r.totals.throughput()));
-            let digest =
-                EnergyDigest::pool(&results.iter().map(EnergyDigest::of).collect::<Vec<_>>());
+    for k in 0..=3usize {
+        for si in 0..2 {
+            let cell = result.cell(si, k);
+            let stats = &cell.stats;
             table.row(vec![
                 Cell::UInt(k as u64),
-                Cell::text(if jam { "ρ=0.1" } else { "none" }),
-                Cell::Float(tp, 3),
-                Cell::Float(digest.mean, 1),
-                Cell::Float(digest.p99, 0),
-                Cell::Float(digest.max, 0),
+                Cell::text(cell.scenario.clone()),
+                Cell::Float(stats.throughput.mean(), 3),
+                Cell::Float(stats.accesses.mean(), 1),
+                Cell::Float(stats.access_sketch.quantile(0.99), 0),
+                Cell::Float(stats.accesses.max(), 0),
             ]);
         }
     }

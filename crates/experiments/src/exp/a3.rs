@@ -6,13 +6,20 @@
 //! factor, so a few unlucky observations swing the send probability by
 //! orders of magnitude, and the 'herd' overshoots in both directions. We
 //! compare the paper's rule against constant factors under jamming.
+//!
+//! `latency_p99` is the mean over replicates of each run's own
+//! 99th-percentile latency.
 
 use lowsense_baselines::{LowSensingVariant, UpdateRule, VariantConfig};
-use lowsense_sim::scenario::scenarios;
+use lowsense_campaign::CampaignSpec;
+use lowsense_stats::tail_summary;
 
-use crate::common::{mean, EnergyDigest};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::ablation_batches;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed A3 sweeps under.
+const A3_SEED: u64 = 0xA_3;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -23,6 +30,21 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ("factor 2.0", UpdateRule::Factor(2.0)),
         ("factor 4.0", UpdateRule::Factor(4.0)),
     ];
+    let mut spec = CampaignSpec::new("a3_update_rule")
+        .seed(A3_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ablation_batches(n, 0.15))
+        .metric("latency_p99", |r| tail_summary(&r.latencies()).2);
+    for &(name, rule) in &rules {
+        let cfg = VariantConfig {
+            update: rule,
+            ..VariantConfig::paper(0.5, 4.0)
+        };
+        spec = spec.protocol(name, move |sc, _| {
+            sc.run_sparse(|_| LowSensingVariant::new(cfg))
+        });
+    }
+    let result = spec.run();
     let mut table = Table::new(
         "A3",
         format!("window update rule (batch N={n}): gentle vs constant factor"),
@@ -36,49 +58,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "latency_p99",
     ]);
 
-    for (ri, (name, rule)) in rules.iter().enumerate() {
-        let cfg = VariantConfig {
-            update: *rule,
-            ..VariantConfig::paper(0.5, 4.0)
-        };
-        for jam in [false, true] {
-            let results = monte_carlo(
-                160_000 + ri as u64 * 10 + jam as u64,
-                scale.seeds(),
-                |seed| {
-                    if jam {
-                        scenarios::random_jam_batch(n, 0.15)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    } else {
-                        scenarios::batch_drain(n)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    }
-                },
-            );
-            let tp = mean(results.iter().map(|r| r.totals.throughput()));
-            let digest =
-                EnergyDigest::pool(&results.iter().map(EnergyDigest::of).collect::<Vec<_>>());
-            let lat_p99 = {
-                let mut all: Vec<u64> = results.iter().flat_map(|r| r.latencies()).collect();
-                if all.is_empty() {
-                    0.0
-                } else {
-                    all.sort_unstable();
-                    lowsense_stats::quantile_sorted(
-                        &all.iter().map(|&x| x as f64).collect::<Vec<_>>(),
-                        0.99,
-                    )
-                }
-            };
+    for ri in 0..rules.len() {
+        for si in 0..2 {
+            let cell = result.cell(si, ri);
+            let stats = &cell.stats;
+            let lat_p99 = stats.metric("latency_p99").expect("declared metric");
             table.row(vec![
-                Cell::text(*name),
-                Cell::text(if jam { "ρ=0.15" } else { "none" }),
-                Cell::Float(tp, 3),
-                Cell::Float(digest.mean, 1),
-                Cell::Float(digest.max, 0),
-                Cell::Float(lat_p99, 0),
+                Cell::text(cell.protocol.clone()),
+                Cell::text(cell.scenario.clone()),
+                Cell::Float(stats.throughput.mean(), 3),
+                Cell::Float(stats.accesses.mean(), 1),
+                Cell::Float(stats.accesses.max(), 0),
+                Cell::Float(lat_p99.mean(), 0),
             ]);
         }
     }

@@ -9,15 +9,36 @@
 //! the behaviour differs in practice.
 
 use lowsense_baselines::{Coupling, LowSensingVariant, VariantConfig};
-use lowsense_sim::scenario::scenarios;
+use lowsense_campaign::CampaignSpec;
 
-use crate::common::{mean, EnergyDigest};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::ablation_batches;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed A4 sweeps under.
+const A4_SEED: u64 = 0xA_4;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let n: u64 = scale.pick(1 << 10, 1 << 13);
+    let couplings = [
+        ("coupled (paper)", Coupling::Coupled),
+        ("independent", Coupling::Independent),
+    ];
+    let mut spec = CampaignSpec::new("a4_coupling")
+        .seed(A4_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ablation_batches(n, 0.1));
+    for (name, coupling) in couplings {
+        let cfg = VariantConfig {
+            coupling,
+            ..VariantConfig::paper(0.5, 4.0)
+        };
+        spec = spec.protocol(name, move |sc, _| {
+            sc.run_sparse(|_| LowSensingVariant::new(cfg))
+        });
+    }
+    let result = spec.run();
     let mut table = Table::new("A4", format!("send/listen coin coupling (batch N={n})")).columns([
         "coupling",
         "jam",
@@ -27,48 +48,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "max_accesses",
     ]);
 
-    for coupling in [Coupling::Coupled, Coupling::Independent] {
-        let cfg = VariantConfig {
-            coupling,
-            ..VariantConfig::paper(0.5, 4.0)
-        };
-        for jam in [false, true] {
-            let results = monte_carlo(
-                170_000 + matches!(coupling, Coupling::Independent) as u64 * 10 + jam as u64,
-                scale.seeds(),
-                |seed| {
-                    if jam {
-                        scenarios::random_jam_batch(n, 0.1)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    } else {
-                        scenarios::batch_drain(n)
-                            .seed(seed)
-                            .run_sparse(|_| LowSensingVariant::new(cfg))
-                    }
-                },
-            );
-            let tp = mean(results.iter().map(|r| r.totals.throughput()));
-            let sends = mean(results.iter().map(|r| {
-                let ps = r.per_packet.as_ref().expect("per-packet");
-                mean(ps.iter().map(|p| p.sends as f64))
-            }));
-            let listens = mean(results.iter().map(|r| {
-                let ps = r.per_packet.as_ref().expect("per-packet");
-                mean(ps.iter().map(|p| p.listens as f64))
-            }));
-            let digest =
-                EnergyDigest::pool(&results.iter().map(EnergyDigest::of).collect::<Vec<_>>());
+    for ci in 0..couplings.len() {
+        for si in 0..2 {
+            let cell = result.cell(si, ci);
+            let stats = &cell.stats;
             table.row(vec![
-                Cell::text(match coupling {
-                    Coupling::Coupled => "coupled (paper)",
-                    Coupling::Independent => "independent",
-                }),
-                Cell::text(if jam { "ρ=0.1" } else { "none" }),
-                Cell::Float(tp, 3),
-                Cell::Float(sends, 2),
-                Cell::Float(listens, 1),
-                Cell::Float(digest.max, 0),
+                Cell::text(cell.protocol.clone()),
+                Cell::text(cell.scenario.clone()),
+                Cell::Float(stats.throughput.mean(), 3),
+                Cell::Float(stats.sends as f64 / stats.arrivals as f64, 2),
+                Cell::Float(stats.listens as f64 / stats.arrivals as f64, 1),
+                Cell::Float(stats.accesses.max(), 0),
             ]);
         }
     }

@@ -6,18 +6,64 @@
 //! up the end-game but make fresh bursts noisier; large floors waste the
 //! tail. The constraint `c·ln³(w_min) ≥ 1` couples the sweep to `c`, so we
 //! pick `c` per point as `max(0.5, 1.05/ln³(w_min))`.
+//!
+//! `latency_p99` is the mean over replicates of each run's own
+//! 99th-percentile latency.
 
 use lowsense::Params;
+use lowsense_campaign::CampaignSpec;
+use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
+use lowsense_stats::tail_summary;
 
-use crate::common::{lsb_with, mean, EnergyDigest};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::lsb_with;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed A5 sweeps under.
+const A5_SEED: u64 = 0xA_5;
+
+/// "Tail makespan": slots between the second-to-last and last success —
+/// the lone-packet end-game `w_min` dominates.
+fn tail_makespan(r: &RunResult) -> f64 {
+    let mut departs: Vec<u64> = r
+        .per_packet
+        .as_ref()
+        .expect("per-packet stats")
+        .iter()
+        .filter_map(|p| p.departed)
+        .collect();
+    departs.sort_unstable();
+    let k = departs.len();
+    if k >= 2 {
+        (departs[k - 1] - departs[k - 2]) as f64
+    } else {
+        0.0
+    }
+}
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let n: u64 = scale.pick(1 << 10, 1 << 13);
-    let w_mins: [f64; 6] = [3.0, 4.0, 8.0, 16.0, 64.0, 256.0];
+    let params: Vec<Params> = [3.0, 4.0, 8.0, 16.0, 64.0, 256.0]
+        .into_iter()
+        .map(|w_min: f64| {
+            let c = (1.05 / w_min.ln().powi(3)).max(0.5);
+            Params::new(c, w_min).expect("valid sweep point")
+        })
+        .collect();
+    let mut spec = CampaignSpec::new("a5_w_min")
+        .seed(A5_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenario(scenarios::batch_drain(n).boxed())
+        .metric("latency_p99", |r| tail_summary(&r.latencies()).2)
+        .metric("tail_makespan", tail_makespan);
+    for &p in &params {
+        spec = spec.protocol(format!("w_min={}", p.w_min()), move |sc, _| {
+            sc.run_sparse(lsb_with(p))
+        });
+    }
+    let result = spec.run();
     let mut table = Table::new(
         "A5",
         format!("minimum-window sweep (batch N={n}): floor vs throughput/latency/energy"),
@@ -31,50 +77,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "tail_makespan",
     ]);
 
-    for &w_min in &w_mins {
-        let c = (1.05 / w_min.ln().powi(3)).max(0.5);
-        let params = Params::new(c, w_min).expect("valid sweep point");
-        let results = monte_carlo(200_000 + w_min as u64, scale.seeds(), |seed| {
-            scenarios::batch_drain(n)
-                .seed(seed)
-                .run_sparse(lsb_with(params))
-        });
-        let tp = mean(results.iter().map(|r| r.totals.throughput()));
-        let digest = EnergyDigest::pool(&results.iter().map(EnergyDigest::of).collect::<Vec<_>>());
-        let lat_p99 = {
-            let mut all: Vec<f64> = results
-                .iter()
-                .flat_map(|r| r.latencies())
-                .map(|x| x as f64)
-                .collect();
-            all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            lowsense_stats::quantile_sorted(&all, 0.99)
-        };
-        // "Tail makespan": slots between the second-to-last and last
-        // success — the lone-packet end-game w_min dominates.
-        let tail = mean(results.iter().map(|r| {
-            let mut departs: Vec<u64> = r
-                .per_packet
-                .as_ref()
-                .expect("per-packet stats")
-                .iter()
-                .filter_map(|p| p.departed)
-                .collect();
-            departs.sort_unstable();
-            let k = departs.len();
-            if k >= 2 {
-                (departs[k - 1] - departs[k - 2]) as f64
-            } else {
-                0.0
-            }
-        }));
+    for (pi, p) in params.iter().enumerate() {
+        let stats = &result.cell(0, pi).stats;
+        let metric = |name| stats.metric(name).expect("declared metric").mean();
         table.row(vec![
-            Cell::Float(w_min, 0),
-            Cell::Float(c, 3),
-            Cell::Float(tp, 3),
-            Cell::Float(digest.mean, 1),
-            Cell::Float(lat_p99, 0),
-            Cell::Float(tail, 1),
+            Cell::Float(p.w_min(), 0),
+            Cell::Float(p.c(), 3),
+            Cell::Float(stats.throughput.mean(), 3),
+            Cell::Float(stats.accesses.mean(), 1),
+            Cell::Float(metric("latency_p99"), 0),
+            Cell::Float(metric("tail_makespan"), 1),
         ]);
     }
 

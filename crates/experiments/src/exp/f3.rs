@@ -10,16 +10,21 @@
 //! We Monte Carlo a single slot directly (an ensemble of k packets each
 //! sending with probability `C/k ≤ 1/2`) and check every bound. This also
 //! doubles as a validation of the Binomial sampler feeding the grouped
-//! engine.
+//! engine. No engine runs, so there is no campaign: each contention level
+//! draws its samples serially from one stream seeded by [`cell_seed`].
 
 use lowsense::theory;
+use lowsense_campaign::seed::cell_seed;
 use lowsense_sim::dist::Binomial;
 use lowsense_sim::rng::SimRng;
 
-use crate::runner::{monte_carlo, Scale};
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
 
 const PACKETS: u64 = 64;
+
+/// The seed F3's per-level sample streams derive from.
+const F3_SEED: u64 = 0xF_3;
 
 fn sample_outcomes(c: f64, trials: u64, seed: u64) -> (f64, f64, f64) {
     let p = c / PACKETS as f64;
@@ -57,14 +62,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ]);
 
     let mut all_ok = true;
-    for &c in &cs {
-        let runs = monte_carlo(110_000 + (c * 1000.0) as u64, scale.seeds(), |seed| {
-            sample_outcomes(c, trials / scale.seeds(), seed)
-        });
-        let k = runs.len() as f64;
-        let succ = runs.iter().map(|r| r.0).sum::<f64>() / k;
-        let empty = runs.iter().map(|r| r.1).sum::<f64>() / k;
-        let noisy = runs.iter().map(|r| r.2).sum::<f64>() / k;
+    for (i, &c) in cs.iter().enumerate() {
+        let (succ, empty, noisy) = sample_outcomes(c, trials, cell_seed(F3_SEED, i as u64, 0));
         let (s_lo, s_hi) = (
             theory::success_probability_lower(c),
             theory::success_probability_upper(c),

@@ -6,14 +6,37 @@
 //! (`Θ(log N)`-style) for the backoff family.
 
 use lowsense_baselines::{CjpConfig, CjpMwu, SlottedAloha, WindowedBeb};
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
+use lowsense_sim::scenario::scenarios;
 
-use crate::common::{batch_totals as batch, lsb, mean, pow2_sweep};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::{lsb, pow2_sweep};
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed F5 sweeps under.
+const F5_SEED: u64 = 0xF_5;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ns = pow2_sweep(6, scale.pick(10, 14));
+    let result = CampaignSpec::new("f5_makespan")
+        .seed(F5_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ns.iter().map(|&n| {
+            ScenarioPoint::new(scenarios::batch_drain(n).totals_only().boxed()).knob("n", n as f64)
+        }))
+        .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+        .protocol("beb-window", |sc, _| {
+            sc.run_sparse(|rng| WindowedBeb::new(2, 40, rng))
+        })
+        .protocol("aloha-genie", |sc, knobs| {
+            let n = knobs["n"] as u64;
+            sc.run_sparse(move |_| SlottedAloha::genie(n))
+        })
+        .protocol("cjp-mwu", |sc, _| {
+            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+        })
+        .run();
     let mut table = Table::new("F5", "batch makespan per packet (active slots / N)").columns([
         "N",
         "low-sensing",
@@ -23,38 +46,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
     ]);
 
     let mut lsb_col = Vec::new();
-    for &n in &ns {
-        let lsb = mean(monte_carlo(120_000 + n, scale.seeds(), |s| {
-            batch(n, s).run_sparse(lsb()).totals.active_slots as f64 / n as f64
-        }));
-        let beb = mean(monte_carlo(121_000 + n, scale.seeds(), |s| {
-            batch(n, s)
-                .run_sparse(|rng| WindowedBeb::new(2, 40, rng))
-                .totals
-                .active_slots as f64
-                / n as f64
-        }));
-        let aloha = mean(monte_carlo(122_000 + n, scale.seeds(), |s| {
-            batch(n, s)
-                .run_sparse(|_| SlottedAloha::genie(n))
-                .totals
-                .active_slots as f64
-                / n as f64
-        }));
-        let cjp = mean(monte_carlo(123_000 + n, scale.seeds(), |s| {
-            batch(n, s)
-                .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-                .totals
-                .active_slots as f64
-                / n as f64
-        }));
-        lsb_col.push(lsb);
+    for (i, &n) in ns.iter().enumerate() {
+        let per_packet = |p: usize| {
+            let stats = &result.cell(i, p).stats;
+            stats.active_slots as f64 / (stats.runs * n) as f64
+        };
+        lsb_col.push(per_packet(0));
         table.row(vec![
             Cell::UInt(n),
-            Cell::Float(lsb, 2),
-            Cell::Float(beb, 2),
-            Cell::Float(aloha, 2),
-            Cell::Float(cjp, 2),
+            Cell::Float(per_packet(0), 2),
+            Cell::Float(per_packet(1), 2),
+            Cell::Float(per_packet(2), 2),
+            Cell::Float(per_packet(3), 2),
         ]);
     }
 

@@ -7,15 +7,30 @@
 //! separation the paper's title is about.
 
 use lowsense_baselines::{CjpConfig, CjpMwu};
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::scenario::scenarios;
 
-use crate::common::{mean, pow2_sweep, run_lsb};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::{lsb, pow2_sweep};
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed F6 sweeps under.
+const F6_SEED: u64 = 0xF_6;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ns = pow2_sweep(6, scale.pick(10, 14));
+    let result = CampaignSpec::new("f6_energy_split")
+        .seed(F6_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ns.iter().map(|&n| {
+            ScenarioPoint::new(scenarios::protocol_faceoff(n).boxed()).knob("n", n as f64)
+        }))
+        .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+        .protocol("cjp-mwu", |sc, _| {
+            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+        })
+        .run();
     let mut table = Table::new("F6", "per-packet energy split on a batch of N").columns([
         "N",
         "lsb_sends",
@@ -28,21 +43,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut ratio_first = 0.0;
     let mut ratio_last = 0.0;
     for (i, &n) in ns.iter().enumerate() {
-        let lsb = monte_carlo(130_000 + n, scale.seeds(), |s| {
-            let r = run_lsb(&scenarios::protocol_faceoff(n).seed(s));
-            let ps = r.per_packet.as_ref().expect("per-packet stats");
-            let sends = mean(ps.iter().map(|p| p.sends as f64));
-            let listens = mean(ps.iter().map(|p| p.listens as f64));
-            (sends, listens)
-        });
-        let sends = mean(lsb.iter().map(|x| x.0));
-        let listens = mean(lsb.iter().map(|x| x.1));
-        let cjp = mean(monte_carlo(131_000 + n, scale.seeds(), |s| {
-            let r = scenarios::protocol_faceoff(n)
-                .seed(s)
-                .run_grouped(|_| CjpMwu::new(CjpConfig::default()));
-            mean(r.access_counts().iter().map(|&a| a as f64))
-        }));
+        let lsb = &result.cell(i, 0).stats;
+        let sends = lsb.sends as f64 / lsb.arrivals as f64;
+        let listens = lsb.listens as f64 / lsb.arrivals as f64;
+        let cjp = result.cell(i, 1).stats.accesses.mean();
         let total = sends + listens;
         let ratio = cjp / total.max(1e-9);
         if i == 0 {

@@ -1,5 +1,5 @@
-//! One module per reproduced table/figure; ids match `DESIGN.md` §4 and
-//! `EXPERIMENTS.md`.
+//! One module per reproduced table/figure; ids match the experiment index
+//! in `docs/PAPER_MAP.md`.
 
 pub mod a1;
 pub mod a2;

@@ -8,11 +8,8 @@
 //! succeeds if the worst floor across every workload and seed stays
 //! bounded away from 0.
 //!
-//! Ported off the bespoke `monte_carlo`-per-workload loop onto a
-//! [`CampaignSpec`]: the five adversarial workloads are the scenario axis,
-//! seeds are campaign replicates (derived per cell — no hand-rolled seed
-//! spreading), and the trace floor rides along as a declared metric
-//! instead of post-hoc bucket surgery.
+//! The five adversarial workloads are the scenario axis of a
+//! [`CampaignSpec`], and the trace floor rides along as a declared metric.
 
 use lowsense::{LowSensing, Params};
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};

@@ -11,10 +11,9 @@
 //!   its tail, so its *overall* throughput also degrades — it is a
 //!   reference, not a contender.
 //!
-//! Since the campaign layer landed this is the ported face-off sweep: the
-//! grid (batch sizes × protocols × seeds) is a [`campaigns::faceoff_spec`]
-//! executed on the deterministic shard pool, one cell per table entry —
-//! the bespoke per-protocol `monte_carlo` loops are gone.
+//! The grid (batch sizes × protocols × seeds) is a
+//! [`campaigns::faceoff_spec`] executed on the deterministic shard pool,
+//! one cell per table entry.
 
 use crate::campaigns;
 use crate::common::pow2_sweep;

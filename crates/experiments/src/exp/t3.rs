@@ -7,12 +7,9 @@
 //! `S` over two decades and report `max backlog / S` — reproduction holds if
 //! the ratio is flat in `S` and `O(1)`.
 //!
-//! Ported off the bespoke `monte_carlo`-per-granularity loop onto a
-//! [`CampaignSpec`] (the `t1` template): the `S` sweep is the scenario
-//! axis, seeds are campaign replicates (derived per cell — no hand-rolled
-//! seed spreading), and the per-run backlog peaks fold into declared
-//! metrics whose `Welford` moments carry the mean *and* the worst case the
-//! table reports.
+//! The `S` sweep is the scenario axis of a [`CampaignSpec`], and the
+//! per-run backlog peaks fold into declared metrics whose `Welford`
+//! moments carry the mean *and* the worst case the table reports.
 
 use lowsense::{LowSensing, Params};
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};

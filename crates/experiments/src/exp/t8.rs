@@ -7,18 +7,40 @@
 //! both normalizations.
 
 use lowsense::theory;
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::arrivals::Placement;
 use lowsense_sim::jamming::ReactiveAny;
 use lowsense_sim::scenario::scenarios;
 
-use crate::common::run_lsb;
-use crate::runner::{monte_carlo, Scale};
+use crate::common::lsb;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed T8 sweeps under.
+const T8_SEED: u64 = 0x78;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ss: Vec<u64> = (6..=scale.pick(9, 12)).map(|k| 1u64 << k).collect();
     let windows: u64 = scale.pick(60, 120);
+    let result = CampaignSpec::new("t8_reactive_queuing")
+        .seed(T8_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ss.iter().map(|&s| {
+            let horizon = s * windows;
+            ScenarioPoint::new(
+                scenarios::adversarial_queuing(0.10, s, Placement::Front)
+                    .jammer(ReactiveAny::new(horizon / 20))
+                    .until_slot(horizon)
+                    .boxed(),
+            )
+            .knob("S", s as f64)
+        }))
+        .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+        .metric("accesses_per_slot", |r| {
+            r.totals.accesses() as f64 / r.totals.active_slots.max(1) as f64
+        })
+        .run();
     let mut table = Table::new(
         "T8",
         "reactive DoS + adversarial queuing (λ_arr=0.10, reactive budget 0.05·horizon)",
@@ -32,30 +54,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "per_slot/ln⁴(S)",
     ]);
 
-    for &s in &ss {
-        let horizon = s * windows;
-        let results = monte_carlo(80_000 + s, scale.seeds(), |seed| {
-            run_lsb(
-                &scenarios::adversarial_queuing(0.10, s, Placement::Front)
-                    .jammer(ReactiveAny::new(horizon / 20))
-                    .until_slot(horizon)
-                    .seed(seed),
-            )
-        });
-        let packets = results.iter().map(|r| r.totals.arrivals).sum::<u64>() / results.len() as u64;
-        let max = results
-            .iter()
-            .flat_map(|r| r.access_counts())
-            .max()
-            .unwrap_or(0) as f64;
-        let per_slot = crate::common::mean(
-            results
-                .iter()
-                .map(|r| r.totals.accesses() as f64 / r.totals.active_slots.max(1) as f64),
-        );
+    for (cell, &s) in result.cells.iter().zip(&ss) {
+        let stats = &cell.stats;
+        let max = stats.accesses.max();
+        let per_slot = stats
+            .metric("accesses_per_slot")
+            .expect("declared metric")
+            .mean();
         table.row(vec![
             Cell::UInt(s),
-            Cell::UInt(packets),
+            Cell::UInt(stats.arrivals / stats.runs),
             Cell::Float(max, 0),
             Cell::Float(max / s as f64, 3),
             Cell::Float(per_slot, 3),

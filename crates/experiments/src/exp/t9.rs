@@ -9,32 +9,40 @@
 //! until success): BEB's delay doubles per jam (`2^b`), low-sensing's grows
 //! only gently.
 
-use lowsense::{LowSensing, Params};
 use lowsense_baselines::{ProbBeb, WindowedBeb};
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::jamming::ReactiveTargeted;
 use lowsense_sim::packet::PacketId;
 use lowsense_sim::scenario::scenarios;
 
-use crate::common::mean;
-use crate::runner::{monte_carlo, Scale};
+use crate::common::lsb;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
 
-fn delay_of<P, F>(budget: u64, seed: u64, factory: F) -> f64
-where
-    P: lowsense_sim::protocol::SparseProtocol,
-    F: FnMut(&mut lowsense_sim::rng::SimRng) -> P,
-{
-    let r = scenarios::batch_drain(1)
-        .jammer(ReactiveTargeted::new(PacketId(0), budget))
-        .seed(seed)
-        .run_sparse(factory);
-    debug_assert!(r.drained());
-    r.totals.active_slots as f64
-}
+/// The campaign seed T9 sweeps under.
+const T9_SEED: u64 = 0x7_9;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let budgets: Vec<u64> = (1..=scale.pick(10, 16)).collect();
+    let result = CampaignSpec::new("t9_reactive_beb")
+        .seed(T9_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(budgets.iter().map(|&b| {
+            ScenarioPoint::new(
+                scenarios::batch_drain(1)
+                    .jammer(ReactiveTargeted::new(PacketId(0), b))
+                    .totals_only()
+                    .boxed(),
+            )
+            .knob("budget", b as f64)
+        }))
+        .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+        .protocol("beb-window", |sc, _| {
+            sc.run_sparse(|rng| WindowedBeb::new(2, 40, rng))
+        })
+        .protocol("beb-prob", |sc, _| sc.run_sparse(|_| ProbBeb::new(0.5)))
+        .run();
     let mut table = Table::new(
         "T9",
         "reactive jammer, single packet: delay until success vs jam budget b",
@@ -48,16 +56,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "lsb_vs_beb",
     ]);
 
-    for &b in &budgets {
-        let lsb = mean(monte_carlo(90_000 + b, scale.seeds(), |s| {
-            delay_of(b, s, |_| LowSensing::new(Params::default()))
-        }));
-        let beb = mean(monte_carlo(91_000 + b, scale.seeds(), |s| {
-            delay_of(b, s, |rng| WindowedBeb::new(2, 40, rng))
-        }));
-        let pbeb = mean(monte_carlo(92_000 + b, scale.seeds(), |s| {
-            delay_of(b, s, |_| ProbBeb::new(0.5))
-        }));
+    let delay = |i: usize, p: usize| {
+        let stats = &result.cell(i, p).stats;
+        debug_assert_eq!(stats.successes, stats.arrivals, "a lone packet drains");
+        stats.active_slots as f64 / stats.runs as f64
+    };
+    for (i, &b) in budgets.iter().enumerate() {
+        let (lsb, beb, pbeb) = (delay(i, 0), delay(i, 1), delay(i, 2));
         table.row(vec![
             Cell::UInt(b),
             Cell::Float(lsb, 1),

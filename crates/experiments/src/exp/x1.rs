@@ -8,12 +8,16 @@
 //! BEB baselines.
 
 use lowsense_baselines::{CjpConfig, CjpMwu, WindowedBeb};
-use lowsense_sim::metrics::RunResult;
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::scenario::scenarios;
+use lowsense_stats::tail_summary;
 
-use crate::common::{mean, run_lsb};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::lsb;
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed X1 sweeps under.
+const X1_SEED: u64 = 0xE_1;
 
 /// Jain's fairness index of a latency sample: `(Σx)² / (n·Σx²)`.
 fn jain(latencies: &[u64]) -> f64 {
@@ -27,18 +31,29 @@ fn jain(latencies: &[u64]) -> f64 {
     }
 }
 
-/// `(jain index, p99/p50 latency ratio, max latency)` of one run.
-type FairnessDigest = (f64, f64, f64);
-
-fn digest(r: &RunResult) -> FairnessDigest {
-    let lats = r.latencies();
-    let (p50, _, p99, max) = lowsense_stats::tail_summary(&lats);
-    (jain(&lats), p99 / p50.max(1.0), max)
-}
-
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ns: Vec<u64> = (8..=scale.pick(10, 13)).map(|k| 1u64 << k).collect();
+    let result = CampaignSpec::new("x1_fairness")
+        .seed(X1_SEED)
+        .replicates(scale.seeds() as u32)
+        .scenarios(ns.iter().map(|&n| {
+            ScenarioPoint::new(scenarios::protocol_faceoff(n).boxed()).knob("n", n as f64)
+        }))
+        .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+        .protocol("cjp-mwu", |sc, _| {
+            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+        })
+        .protocol("beb-window", |sc, _| {
+            sc.run_sparse(|rng| WindowedBeb::new(2, 40, rng))
+        })
+        .metric("jain", |r| jain(&r.latencies()))
+        .metric("p99/p50", |r| {
+            let (p50, _, p99, _) = tail_summary(&r.latencies());
+            p99 / p50.max(1.0)
+        })
+        .metric("max_latency", |r| tail_summary(&r.latencies()).3)
+        .run();
     let mut table = Table::new(
         "X1",
         "fairness of completion latencies on a batch (extension, §6 open problem)",
@@ -51,44 +66,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "max_latency",
     ]);
 
-    for &n in &ns {
-        let rows: Vec<(&str, Vec<FairnessDigest>)> = vec![
-            (
-                "low-sensing",
-                monte_carlo(180_000 + n, scale.seeds(), |s| {
-                    digest(&run_lsb(&scenarios::protocol_faceoff(n).seed(s)))
-                }),
-            ),
-            (
-                "cjp-mwu",
-                monte_carlo(181_000 + n, scale.seeds(), |s| {
-                    digest(
-                        &scenarios::protocol_faceoff(n)
-                            .seed(s)
-                            .run_grouped(|_| CjpMwu::new(CjpConfig::default())),
-                    )
-                }),
-            ),
-            (
-                "beb-window",
-                monte_carlo(182_000 + n, scale.seeds(), |s| {
-                    digest(
-                        &scenarios::protocol_faceoff(n)
-                            .seed(s)
-                            .run_sparse(|rng| WindowedBeb::new(2, 40, rng)),
-                    )
-                }),
-            ),
-        ];
-        for (name, ds) in rows {
-            table.row(vec![
-                Cell::UInt(n),
-                Cell::text(name),
-                Cell::Float(mean(ds.iter().map(|d| d.0)), 3),
-                Cell::Float(mean(ds.iter().map(|d| d.1)), 2),
-                Cell::Float(ds.iter().map(|d| d.2).fold(0.0, f64::max), 0),
-            ]);
-        }
+    for cell in &result.cells {
+        let metric = |name| cell.stats.metric(name).expect("declared metric");
+        table.row(vec![
+            Cell::UInt(cell.knobs["n"] as u64),
+            Cell::text(cell.protocol.clone()),
+            Cell::Float(metric("jain").mean(), 3),
+            Cell::Float(metric("p99/p50").mean(), 2),
+            Cell::Float(metric("max_latency").max(), 0),
+        ]);
     }
 
     table.note(

@@ -9,12 +9,16 @@
 //! expected slots. This quantifies the "cold start" price of not knowing N.
 
 use lowsense_baselines::{SlottedAloha, WindowedBeb};
+use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
 
-use crate::common::{lsb, mean, pow2_sweep};
-use crate::runner::{monte_carlo, Scale};
+use crate::common::{lsb, pow2_sweep};
+use crate::runner::Scale;
 use crate::table::{Cell, Table};
+
+/// The campaign seed X2 sweeps under.
+const X2_SEED: u64 = 0xE_2;
 
 /// Slot of the first success (all packets injected at 0).
 fn first_success(r: &RunResult) -> f64 {
@@ -31,6 +35,23 @@ fn first_success(r: &RunResult) -> f64 {
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
     let ns = pow2_sweep(6, scale.pick(10, 14));
+    let result =
+        CampaignSpec::new("x2_wakeup")
+            .seed(X2_SEED)
+            .replicates(scale.seeds() as u32)
+            .scenarios(ns.iter().map(|&n| {
+                ScenarioPoint::new(scenarios::batch_drain(n).boxed()).knob("n", n as f64)
+            }))
+            .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
+            .protocol("beb-window", |sc, _| {
+                sc.run_sparse(|rng| WindowedBeb::new(2, 40, rng))
+            })
+            .protocol("aloha-genie", |sc, knobs| {
+                let n = knobs["n"] as u64;
+                sc.run_sparse(move |_| SlottedAloha::genie(n))
+            })
+            .metric("first_success", first_success)
+            .run();
     let mut table = Table::new(
         "X2",
         "wake-up latency: slots until the first successful transmission (batch)",
@@ -43,29 +64,21 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "lsb/ln²(N)",
     ]);
 
-    for &n in &ns {
-        let lsb = mean(monte_carlo(190_000 + n, scale.seeds(), |s| {
-            first_success(&scenarios::batch_drain(n).seed(s).run_sparse(lsb()))
-        }));
-        let beb = mean(monte_carlo(191_000 + n, scale.seeds(), |s| {
-            first_success(
-                &scenarios::batch_drain(n)
-                    .seed(s)
-                    .run_sparse(|rng| WindowedBeb::new(2, 40, rng)),
-            )
-        }));
-        let aloha = mean(monte_carlo(192_000 + n, scale.seeds(), |s| {
-            first_success(
-                &scenarios::batch_drain(n)
-                    .seed(s)
-                    .run_sparse(|_| SlottedAloha::genie(n)),
-            )
-        }));
+    for (i, &n) in ns.iter().enumerate() {
+        let wake = |p: usize| {
+            result
+                .cell(i, p)
+                .stats
+                .metric("first_success")
+                .expect("declared metric")
+                .mean()
+        };
+        let lsb = wake(0);
         table.row(vec![
             Cell::UInt(n),
             Cell::Float(lsb, 1),
-            Cell::Float(beb, 1),
-            Cell::Float(aloha, 1),
+            Cell::Float(wake(1), 1),
+            Cell::Float(wake(2), 1),
             Cell::Float(lsb / (n as f64).ln().powi(2), 2),
         ]);
     }

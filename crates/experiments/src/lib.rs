@@ -2,8 +2,7 @@
 //!
 //! Every theorem of the paper is reproduced as a table (sweep) or figure
 //! (trajectory); ids (`T1`–`T9`, `F2`–`F6`, `A1`–`A5`, `X1`–`X2`) match the
-//! per-experiment index in `DESIGN.md` and the paper-vs-measured record in
-//! `EXPERIMENTS.md`. Run them all with
+//! per-experiment index in `docs/PAPER_MAP.md`. Run them all with
 //!
 //! ```text
 //! cargo run --release -p lowsense-experiments --bin repro -- all
@@ -29,7 +28,7 @@ pub mod exp;
 pub mod runner;
 pub mod table;
 
-pub use runner::{monte_carlo, Scale};
+pub use runner::Scale;
 pub use table::{Cell, Table};
 
 /// A registered experiment.

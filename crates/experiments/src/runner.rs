@@ -1,9 +1,9 @@
-//! Parallel Monte Carlo execution.
+//! Experiment scale.
 //!
-//! Since the campaign layer landed, the workspace has exactly **one**
-//! parallel executor: [`lowsense_campaign::pool`]. [`monte_carlo`] maps
-//! the ad-hoc experiments' seeds (sweep points × seeds outside a full
-//! campaign grid) over it with [`lowsense_campaign::shard_map`].
+//! Every experiment that runs the engine over seeds sweeps a
+//! [`CampaignSpec`](lowsense_campaign::CampaignSpec) grid with
+//! [`Scale::seeds`] replicates per cell, on the workspace's one parallel
+//! executor ([`lowsense_campaign::pool`]).
 
 /// Experiment scale: `Quick` for benches and smoke runs, `Full` for the
 /// `repro` binary's paper-scale sweeps.
@@ -33,33 +33,9 @@ impl Scale {
     }
 }
 
-/// Runs `f(seed)` for `seeds` deterministic seeds derived from `base`, in
-/// parallel, preserving seed order.
-pub fn monte_carlo<T, F>(base: u64, seeds: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    // Spread seeds deterministically so sweep points don't share streams.
-    let items: Vec<u64> = (0..seeds)
-        .map(|i| base.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i))
-        .collect();
-    lowsense_campaign::shard_map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn monte_carlo_is_deterministic() {
-        let a = monte_carlo(7, 8, |s| s ^ 0xABCD);
-        let b = monte_carlo(7, 8, |s| s ^ 0xABCD);
-        assert_eq!(a, b);
-        // Different bases give different seed sets.
-        let c = monte_carlo(8, 8, |s| s ^ 0xABCD);
-        assert_ne!(a, c);
-    }
 
     #[test]
     fn scale_accessors() {

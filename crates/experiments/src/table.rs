@@ -29,15 +29,18 @@ impl Cell {
 
     fn csv(&self) -> String {
         match self {
-            Cell::Text(s) => {
-                if s.contains([',', '"', '\n']) {
-                    format!("\"{}\"", s.replace('"', "\"\""))
-                } else {
-                    s.clone()
-                }
-            }
+            Cell::Text(s) => csv_field(s),
             _ => self.render(),
         }
+    }
+}
+
+/// Quotes a CSV field that holds a comma, quote or newline.
+fn csv_field(s: &str) -> String {
+    if s.contains([',', '"', '\n']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
     }
 }
 
@@ -59,7 +62,8 @@ impl From<String> for Cell {
     }
 }
 
-/// A result table with an id matching the experiment index in `DESIGN.md`.
+/// A result table with an id matching the experiment index in
+/// `docs/PAPER_MAP.md`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment id (`T1`, `F3`, `A2`, …).
@@ -163,7 +167,8 @@ impl Table {
     /// Renders RFC-4180-ish CSV (header row + data rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.columns.join(","));
+        let header: Vec<String> = self.columns.iter().map(|c| csv_field(c)).collect();
+        let _ = writeln!(out, "{}", header.join(","));
         for row in &self.rows {
             let line: Vec<String> = row.iter().map(Cell::csv).collect();
             let _ = writeln!(out, "{}", line.join(","));

@@ -1,6 +1,6 @@
-//! The binaries' output paths: one the process cannot write is bad input,
-//! so it must end in one line naming the path and exit code 2, not a
-//! panic.
+//! The binaries' bad input: an output path the process cannot write must
+//! end in one line naming the path and exit code 2, and a bad flag value
+//! in the usage line and exit code 2 — never a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -53,4 +53,16 @@ fn repro_rejects_an_unwritable_csv_directory() {
         &["f3", "--quick", "--csv"],
         "sub",
     );
+}
+
+#[test]
+fn campaign_rejects_zero_shards() {
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["faceoff", "--shards", "0"])
+        .output()
+        .expect("spawn the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: campaign"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

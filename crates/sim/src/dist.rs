@@ -1,7 +1,8 @@
 //! Exact samplers for the distributions the simulator needs.
 //!
 //! * [`geometric`] — delay until the first success of a Bernoulli(p) process;
-//!   the workhorse of the event-driven engine (§5 of `DESIGN.md`).
+//!   the workhorse of the event-driven engine (`docs/ARCHITECTURE.md`, "The
+//!   event-driven sparse engine").
 //! * [`Binomial`] — sender counts for grouped symmetric protocols and jam
 //!   counts over skipped slot ranges. Uses the exact BINV inverse transform
 //!   for `n·min(p,1-p) ≤ 30` and the BTPE rejection algorithm of
