@@ -14,7 +14,7 @@
 //! reactive adversary can starve them with `Θ(ln T)` targeted jams (T9).
 
 use lowsense_sim::dist::geometric_fast;
-use lowsense_sim::feedback::{Feedback, Intent, Observation};
+use lowsense_sim::feedback::{Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
 
@@ -181,16 +181,13 @@ impl SparseProtocol for ProbBeb {
     }
 }
 
-/// Feedback value unused by oblivious protocols but kept for completeness.
-#[allow(dead_code)]
-fn _assert_feedback_unused(_: Feedback) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lowsense_sim::arrivals::Batch;
     use lowsense_sim::config::SimConfig;
     use lowsense_sim::engine::{run_dense, run_sparse};
+    use lowsense_sim::feedback::Feedback;
     use lowsense_sim::hooks::NoHooks;
     use lowsense_sim::jamming::NoJam;
 

@@ -4,8 +4,9 @@
 //! The JSON is schema-versioned (`lowsense-campaign/2` — `/2` added the
 //! top-level `models` axis and the per-cell `model` key) like
 //! `BENCH_engine.json`, and is emitted by a deterministic hand-rolled
-//! writer: keys in fixed order, floats via Rust's shortest-roundtrip
-//! `Display` — so the artifact bytes are a pure function of the
+//! writer: keys in fixed order, strings and floats through the workspace's
+//! shared JSON helpers [`esc`] and [`num`] (floats in Rust's shortest
+//! round-trip form) — so the artifact bytes are a pure function of the
 //! [`CampaignResult`], which in turn is a pure function of the spec
 //! (including across shard counts; the CI canary diffs 1-shard vs 4-shard
 //! bytes). Deliberately **absent** from the artifact: shard count, timing,
@@ -15,38 +16,13 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use lowsense_obs::json::{esc, num};
 use lowsense_stats::Welford;
 
 use crate::exec::{CampaignResult, CellReport};
 
 /// Schema tag of the JSON artifact.
 pub const SCHEMA: &str = "lowsense-campaign/2";
-
-/// Escapes a string for a JSON literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float deterministically (shortest roundtrip); non-finite
-/// values (which no accumulator should produce) become `null`.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// `{"n": …, "mean": …, "sd": …, "se": …, "min": …, "max": …}` of a
 /// Welford accumulator (degenerate zeros when empty).
@@ -250,6 +226,8 @@ impl CampaignResult {
 mod tests {
     use super::*;
 
+    // The committed `CAMPAIGN_*.json` bytes depend on these rules, so the
+    // artifact pins them on its side of the shared helpers.
     #[test]
     fn escapes_json_strings() {
         assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
@@ -262,5 +240,12 @@ mod tests {
         assert_eq!(num(3.0), "3");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
+        let mut w = Welford::new();
+        w.push(3.0);
+        w.push(3.0);
+        assert_eq!(
+            welford_json(&w),
+            "{ \"n\": 2, \"mean\": 3, \"sd\": 0, \"se\": 0, \"min\": 3, \"max\": 3 }"
+        );
     }
 }

@@ -27,10 +27,9 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 use std::time::Instant;
 
+use lowsense_obs::json::esc;
 use lowsense_obs::{Registry, Telemetry};
 use lowsense_stats::Welford;
-
-use crate::artifact::esc;
 
 /// Schema tag stamped on the progress JSONL header record.
 pub const PROGRESS_SCHEMA: &str = "lowsense-campaign-progress/1";

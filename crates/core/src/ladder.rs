@@ -90,9 +90,10 @@ pub struct Derived {
 /// every rung is bit-identical to what that recompute produced for the
 /// same window (pinned by the `tests/ladder.rs` proptest, which writes the
 /// recompute out inline). One `fast_ln` of the
-/// window, one reciprocal `x = 1/(c·ln w)` (bit-equal to
-/// `window::update_factor_ln(c, ln w) - 1`), and the send probability as
-/// pure multiplies: `1/(c·ln³ w) = x³·c²` exactly in real arithmetic.
+/// window, one reciprocal `x = 1/(c·ln w)` (the back-off factor `1 + x` is
+/// bit-equal to `window::update_factor_ln(c, ln w)`), and the send
+/// probability as pure multiplies: `1/(c·ln³ w) = x³·c²` exactly in real
+/// arithmetic.
 #[inline]
 pub fn derive(params: &Params, w: f64) -> Derived {
     let ln_w = fast_ln(w);

@@ -162,11 +162,6 @@ pub struct PotentialTracker {
     /// Multiset of live window sizes keyed by order-preserving bits.
     windows: BTreeMap<u64, u32>,
     occupancy: RegimeOccupancy,
-    /// `(slot, Φ)` samples, recorded at most once per `sample_stride` events
-    /// when the stride is non-zero.
-    samples: Vec<(Slot, f64)>,
-    sample_stride: u64,
-    events_since_sample: u64,
 }
 
 impl Default for PotentialTracker {
@@ -186,17 +181,7 @@ impl PotentialTracker {
             contention: 0.0,
             windows: BTreeMap::new(),
             occupancy: RegimeOccupancy::default(),
-            samples: Vec::new(),
-            sample_stride: 0,
-            events_since_sample: 0,
         }
-    }
-
-    /// Records a `(slot, Φ)` sample every `stride` slot events.
-    pub fn with_sampling(mut self, stride: u64) -> Self {
-        assert!(stride > 0, "sampling stride must be positive");
-        self.sample_stride = stride;
-        self
     }
 
     /// Packets currently tracked (`N(t)`).
@@ -244,11 +229,6 @@ impl PotentialTracker {
         self.occupancy
     }
 
-    /// Recorded `(slot, Φ)` samples.
-    pub fn samples(&self) -> &[(Slot, f64)] {
-        &self.samples
-    }
-
     /// The weights in use.
     pub fn alphas(&self) -> Alphas {
         self.alphas
@@ -280,17 +260,6 @@ impl PotentialTracker {
             Regime::High => self.occupancy.high += slots,
         }
     }
-
-    fn maybe_sample(&mut self, slot: Slot, events: u64) {
-        if self.sample_stride == 0 {
-            return;
-        }
-        self.events_since_sample += events;
-        if self.events_since_sample >= self.sample_stride {
-            self.events_since_sample = 0;
-            self.samples.push((slot, self.phi()));
-        }
-    }
 }
 
 impl Hooks<LowSensing> for PotentialTracker {
@@ -311,14 +280,12 @@ impl Hooks<LowSensing> for PotentialTracker {
         }
     }
 
-    fn on_slot(&mut self, t: Slot, _outcome: &SlotOutcome) {
+    fn on_slot(&mut self, _t: Slot, _outcome: &SlotOutcome) {
         self.classify_slots(1);
-        self.maybe_sample(t, 1);
     }
 
     fn on_gap(&mut self, from: Slot, to: Slot, _jammed: u64) {
         self.classify_slots(to - from);
-        self.maybe_sample(to - 1, to - from);
     }
 }
 
@@ -419,17 +386,6 @@ mod tests {
         assert_eq!(occ.low, 10);
         assert_eq!(occ.high, 1);
         assert_eq!(occ.total(), 11);
-    }
-
-    #[test]
-    fn sampling_records_phi() {
-        let mut tr = PotentialTracker::default().with_sampling(2);
-        tr.on_inject(0, PacketId(0), &pkt(4.0));
-        for t in 0..6 {
-            tr.on_slot(t, &SlotOutcome::Empty);
-        }
-        assert_eq!(tr.samples().len(), 3);
-        assert!(tr.samples().iter().all(|&(_, phi)| phi > 0.0));
     }
 
     #[test]

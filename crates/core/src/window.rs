@@ -8,11 +8,13 @@
 //! (Lemma 5.9: each listen moves `1/ln w` by `Θ(1/(c·ln³ w))`).
 //!
 //! These free functions are the *analytic reference form* of the rules
-//! (libm `ln`, plain divide), used by the potential/theory layers and
-//! tests. The protocol hot path does not call them per observation: it
-//! steps the precomputed [`ladder`](crate::ladder), whose rungs are built
-//! from the same update factors via the hot-path arithmetic
-//! (`fast_ln` + reciprocal multiply — see `ladder::derive`).
+//! (libm `ln`, plain divide). The protocol never calls them: it steps the
+//! precomputed [`ladder`](crate::ladder), whose rungs are built from the
+//! same update factors via the hot-path arithmetic (`fast_ln` + reciprocal
+//! multiply — see `ladder::derive`). They are what the ladder is checked
+//! against: `ladder_rungs_track_the_reference_rules` below compares every
+//! rung step with [`back_off`], and the crate's `backoff_monotone`
+//! property pins the direction and floor of both steps.
 
 use crate::params::Params;
 
@@ -27,11 +29,10 @@ pub fn update_factor(c: f64, w: f64) -> f64 {
     update_factor_ln(c, w.ln())
 }
 
-/// [`update_factor`] with the caller supplying `ln w`.
-///
-/// The hot per-observation path in [`LowSensing`](crate::LowSensing) caches
-/// the logarithm of the current window; this variant reuses it, with
-/// arithmetic bit-identical to [`update_factor`].
+/// [`update_factor`] with the caller supplying `ln w`. No hot path calls
+/// it: [`LowSensing`](crate::LowSensing) steps precomputed ladder rungs
+/// (built by `ladder::derive` from its own `fast_ln`), never a per-packet
+/// `ln w`.
 #[inline]
 pub fn update_factor_ln(c: f64, ln_w: f64) -> f64 {
     1.0 + 1.0 / (c * ln_w)
@@ -43,23 +44,10 @@ pub fn back_off(params: &Params, w: f64) -> f64 {
     w * update_factor(params.c(), w)
 }
 
-/// [`back_off`] with the caller supplying `ln w` (see
-/// [`update_factor_ln`]).
-#[inline]
-pub fn back_off_ln(params: &Params, w: f64, ln_w: f64) -> f64 {
-    w * update_factor_ln(params.c(), ln_w)
-}
-
 /// One back-on step: `w ← max(w / (1 + 1/(c·ln w)), w_min)`.
 #[inline]
 pub fn back_on(params: &Params, w: f64) -> f64 {
     (w / update_factor(params.c(), w)).max(params.w_min())
-}
-
-/// [`back_on`] with the caller supplying `ln w` (see [`update_factor_ln`]).
-#[inline]
-pub fn back_on_ln(params: &Params, w: f64, ln_w: f64) -> f64 {
-    (w / update_factor_ln(params.c(), ln_w)).max(params.w_min())
 }
 
 /// Number of back-off steps needed to grow `from` to at least `to`

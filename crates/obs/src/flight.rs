@@ -12,9 +12,9 @@ use std::collections::VecDeque;
 
 use lowsense_sim::hooks::{EngineSample, Hooks};
 
+use crate::json::{esc, num};
 use crate::registry::Telemetry;
 use crate::stall::{StallDetector, StallEvent};
-use crate::{esc, num};
 
 /// Schema tag stamped on [`FlightRecorder::to_jsonl`] headers.
 pub const FLIGHT_SCHEMA: &str = "lowsense-obs-flight/1";

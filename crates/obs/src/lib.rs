@@ -32,6 +32,11 @@
 //!   explained event, and flags its dual — over-backoff silence — the same
 //!   way.
 //!
+//! Every JSON record above is written through [`json::esc`] and
+//! [`json::num`], the workspace's one rule for turning a string or a float
+//! into JSON; `lowsense-campaign`'s artifact and progress writers use the
+//! same two helpers.
+//!
 //! ```
 //! use lowsense_obs::{FlightRecorder, Registry, Telemetry};
 //! use lowsense_sim::prelude::*;
@@ -76,56 +81,58 @@ pub use flight::{FlightRecorder, FLIGHT_SCHEMA};
 pub use registry::{NoTelemetry, Registry, Telemetry, REGISTRY_SCHEMA};
 pub use stall::{StallConfig, StallDetector, StallEvent, StallKind};
 
-/// Escapes a string for embedding in a JSON string literal, matching the
-/// campaign artifact writer's conventions.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The workspace's one rule for writing a string or a float as JSON. Both
+/// helpers are pure functions of their input, so a writer that keeps its
+/// keys in a fixed order emits bytes that depend only on the values.
+pub mod json {
+    use std::fmt::Write as _;
 
-/// Renders an `f64` as a JSON number: finite values use Rust's shortest
-/// round-trip formatting (deterministic across platforms), non-finite
-/// values degrade to `null`.
-pub(crate) fn num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a decimal point; keep them
-        // recognizably floating so jq-side schema checks see one shape.
-        if s.contains(['.', 'e', 'E']) {
-            s
-        } else {
-            format!("{s}.0")
+    /// Escapes a string for embedding in a JSON string literal: `"` and `\`
+    /// are backslash-escaped, every other control character is written as
+    /// `\u00XX`, and everything else passes through.
+    pub fn esc(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
         }
-    } else {
-        "null".to_string()
+        out
+    }
+
+    /// Renders an `f64` as a JSON number in Rust's shortest round-trip form
+    /// (deterministic across platforms; `3.0` prints as `3`). Non-finite
+    /// values, which no accumulator should produce, become `null`.
+    pub fn num(x: f64) -> String {
+        if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".to_string()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{esc, num};
+    use super::json::{esc, num};
 
     #[test]
     fn esc_handles_quotes_and_control() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(esc("line\nbreak"), "line\\u000abreak");
+        assert_eq!(esc("tab\there"), "tab\\u0009here");
         assert_eq!(esc("\u{1}"), "\\u0001");
     }
 
     #[test]
     fn num_is_json_safe() {
         assert_eq!(num(1.5), "1.5");
-        assert_eq!(num(2.0), "2.0");
+        assert_eq!(num(3.0), "3");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
     }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{esc, num};
+use crate::json::{esc, num};
 
 /// Schema tag stamped on [`Registry::to_json`] output.
 pub const REGISTRY_SCHEMA: &str = "lowsense-obs-registry/1";

@@ -23,7 +23,7 @@
 use lowsense_sim::hooks::EngineSample;
 use lowsense_sim::time::Slot;
 
-use crate::{esc, num};
+use crate::json::{esc, num};
 
 /// Tuning knobs for [`StallDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -65,7 +65,6 @@
 //! | [`scenario`] | declarative run descriptions + the canonical scenario registry |
 //! | [`metrics`] | totals, per-packet stats, trajectory series |
 //! | [`hooks`] | zero-cost analysis callbacks |
-//! | [`trace`] | bounded event log for debugging protocol implementations |
 
 // Deny, not forbid: the one sanctioned exception is the effect-free
 // `prefetcht0` hint in `engine::table` (see `prefetch_read` there), which
@@ -86,7 +85,6 @@ pub mod protocol;
 pub mod rng;
 pub mod scenario;
 pub mod time;
-pub mod trace;
 pub mod view;
 
 /// Convenient glob import for simulation code.

@@ -3,9 +3,7 @@
 //! The simulator needs bit-for-bit reproducible Monte Carlo runs across
 //! platforms and across dependency upgrades, so the core generator
 //! (xoshiro256++ seeded through SplitMix64) is implemented here rather than
-//! borrowed from an external crate. [`SimRng`] also implements
-//! [`rand::Rng`] so it composes with the wider `rand` ecosystem, which
-//! the test suite uses to cross-check distributions.
+//! borrowed from an external crate.
 //!
 //! # Examples
 //!
@@ -77,12 +75,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -132,33 +124,6 @@ impl SimRng {
     #[inline]
     pub fn range_usize(&mut self, n: usize) -> usize {
         self.range_u64(n as u64) as usize
-    }
-}
-
-/// Infallible `rand` interop: [`SimRng`] satisfies `rand::Rng` through the
-/// blanket impl for `TryRng<Error = Infallible>`.
-impl rand::TryRng for SimRng {
-    type Error = std::convert::Infallible;
-
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        Ok(SimRng::next_u32(self))
-    }
-
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        Ok(SimRng::next_u64(self))
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Self::Error> {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&SimRng::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = SimRng::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
     }
 }
 
@@ -258,15 +223,6 @@ mod tests {
     #[should_panic(expected = "n > 0")]
     fn range_u64_zero_panics() {
         SimRng::new(1).range_u64(0);
-    }
-
-    #[test]
-    fn rand_interop_fill_bytes_exercises_remainder() {
-        use rand::Rng as _;
-        let mut rng = SimRng::new(23);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -30,6 +30,9 @@ fn feedback_grid_artifact_is_byte_identical_across_shard_counts() {
     let oracle = spec.run_serial();
     let json = oracle.to_json();
     assert!(json.contains("\"models\": [\"ternary\", \"no-cd\", \"costly(alpha=0.5)\"]"));
+    // `campaign feedback-grid --seed 42` writes exactly this render; the
+    // committed artifact must come back byte for byte.
+    assert_eq!(json, include_str!("../CAMPAIGN_feedback_grid.json"));
     for shards in [1, 4] {
         let run = spec.run_sharded(shards);
         assert_eq!(run, oracle, "cell statistics drifted at {shards} shards");

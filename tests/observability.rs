@@ -22,7 +22,7 @@
 //!    stays silent on a healthy draining batch.
 
 use lowsense::{LowSensing, Params};
-use lowsense_obs::{FlightRecorder, StallConfig, StallDetector, StallKind};
+use lowsense_obs::{FlightRecorder, Registry, StallConfig, StallDetector, StallKind};
 use lowsense_sim::feedback::ChannelModel;
 use lowsense_sim::hooks::{Both, Hooks, Phase};
 use lowsense_sim::metrics::RunResult;
@@ -208,6 +208,12 @@ fn stall_detector_flags_nocd_lsb_livelock() {
     let jsonl = rec.to_jsonl();
     assert!(jsonl.contains("\"t\":\"stall\""));
     assert!(jsonl.contains("collision-dominated"));
+    // Leave both exports where CI's jq step parses them.
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(tmp.join("flight_nocd.jsonl"), &jsonl).expect("write the flight log");
+    let mut registry = Registry::new();
+    rec.publish(&mut registry);
+    std::fs::write(tmp.join("registry_nocd.json"), registry.to_json()).expect("write the registry");
 }
 
 /// Layer 3b: no false positives on a healthy drain — same detector
