@@ -26,7 +26,11 @@
 //! engine's per-slot buffers (participant lists, positions, wakes, stage
 //! plan and state scratch) out as `stage_bytes` in the capacity section;
 //! schema 8 moves the mid tier to `sparse_lsb_300k`, since `LowSensing`
-//! shrank to 16 B and 100k states no longer clear the 4 MiB staging gate.
+//! shrank to 16 B and 100k states no longer clear the 4 MiB staging gate;
+//! schema 9 folds the `observe`, `wake` and `sched` slugs into one
+//! `listeners` slug (11 shares, not 13: the listener cohort is one sweep)
+//! and adds a `phases` entry for `sparse_lsb_16384_nocd`, the profiled
+//! tier where senders are a large share of the accesses.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop
@@ -35,7 +39,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "lowsense-bench-engine/8",
+//!   "schema": "lowsense-bench-engine/9",
 //!   "engines": { "<name>": { "slots": N, "seconds": S, "slots_per_sec": R,
 //!                            "accesses": A, "accesses_per_sec": Q } },
 //!   "campaign": { "<name>": { "cells": C, "runs": U, "seconds": S,
@@ -62,7 +66,9 @@ use std::time::Instant;
 
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{CjpConfig, CjpMwu};
-use lowsense_bench::profile::{profile_sparse_capacity, profile_sparse_smoke, SmokeProfile};
+use lowsense_bench::profile::{
+    profile_sparse_capacity, profile_sparse_nocd, profile_sparse_smoke, SmokeProfile,
+};
 use lowsense_experiments::campaigns;
 use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 use lowsense_sim::hooks::Phase;
@@ -82,6 +88,8 @@ const CAP_HORIZON: u64 = 100_000;
 const MID_STATIONS: u64 = 300_000;
 /// Fewer reps at capacity scale — one warm-up plus two measured seeds.
 const CAP_REPS: u64 = 2;
+const NOCD_HORIZON: u64 = 10_000;
+const NOCD_REPS: u64 = 2;
 // Benches run with CWD = the package dir; anchor the report at the
 // workspace root so its location does not depend on how cargo was invoked.
 const OUT_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
@@ -181,10 +189,10 @@ fn main() {
         // capped and fewer reps suffice — the entry exists to time the
         // feedback-model dispatch in the slot loop, and to keep a perf
         // trajectory for the non-ternary resolve path.
-        measure_reps("sparse_lsb_16384_nocd", 2, |seed| {
+        measure_reps("sparse_lsb_16384_nocd", NOCD_REPS, |seed| {
             scenarios::nocd_batch(16_384)
                 .totals_only()
-                .until_slot(10_000)
+                .until_slot(NOCD_HORIZON)
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
         }),
@@ -237,6 +245,11 @@ fn main() {
     // hook set the `phases` bench prints.
     let phase_profile = profile_sparse_smoke(16_384, 5);
 
+    // The same hook set on the no-CD entry's run: there LSB livelocks with
+    // a large share of its accesses as sends, so this is the profile that
+    // shows the split and the losing-sender cohort.
+    let nocd_profile = profile_sparse_nocd(16_384, NOCD_HORIZON, NOCD_REPS);
+
     // The mid tier's phase profile: the first point where the staged
     // permute/gather/scatter slugs accrue cycles (one seed; the memory
     // peaks are unused here).
@@ -251,7 +264,7 @@ fn main() {
     );
 
     let mut json =
-        String::from("{\n  \"schema\": \"lowsense-bench-engine/8\",\n  \"engines\": {\n");
+        String::from("{\n  \"schema\": \"lowsense-bench-engine/9\",\n  \"engines\": {\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         json.push_str(&format!(
@@ -286,6 +299,7 @@ fn main() {
         json.push_str(&format!(" }} }}{sep}\n"));
     };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
+    push_phases(&mut json, "sparse_lsb_16384_nocd", &nocd_profile, ",");
     push_phases(&mut json, "sparse_lsb_300k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
     json.push_str("  },\n  \"capacity\": {\n");
@@ -316,14 +330,20 @@ fn main() {
         "smoke: {:<28} {:>12} cells in {:>8.3}s  ({:>12.1} cells/sec, {} runs)",
         "campaign_faceoff_small", campaign_cells, campaign_seconds, cells_per_sec, campaign_runs
     );
-    println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; observe {:.1}%, wake {:.1}%)",
-        "phases_sparse_lsb_16384",
-        phase_profile.accesses,
-        phase_profile.cyc_per_access(),
-        100.0 * phase_profile.profile.share(Phase::Observe),
-        100.0 * phase_profile.profile.share(Phase::Wake),
-    );
+    for (name, p) in [
+        ("phases_sparse_lsb_16384", &phase_profile),
+        ("phases_sparse_lsb_16384_nocd", &nocd_profile),
+    ] {
+        println!(
+            "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; split {:.1}%, listeners {:.1}%, senders {:.1}%)",
+            name,
+            p.accesses,
+            p.cyc_per_access(),
+            100.0 * p.profile.share(Phase::Split),
+            100.0 * p.profile.share(Phase::Listeners),
+            100.0 * p.profile.share(Phase::Senders),
+        );
+    }
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
         "phases_sparse_lsb_300k",

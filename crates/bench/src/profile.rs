@@ -1,6 +1,6 @@
 //! Phase-by-phase cycle profile of the sparse engine's hot loop.
 //!
-//! The production loop marks the end of each of its thirteen phases
+//! The production loop marks the end of each of its eleven phases
 //! through [`Hooks::on_phase`]. [`Profiler`] is the hook set that turns the
 //! marks into per-phase cycle totals (one TSC read per mark) and the
 //! engine's periodic [`EngineSample`]s into memory peaks. It rides along
@@ -9,10 +9,10 @@
 //! (pinned by the tests below).
 //!
 //! A mark costs ~8 cycles (`rdtsc`) and lands per slot and per pass — the
-//! listener work is three whole-cohort passes (observe, wake draws,
-//! schedule), so a dense slot pays three reads for all its listeners, not
-//! three per 4-listener quad. Treat the shares as accurate to a point or
-//! two.
+//! listener work is one whole-cohort sweep (observe, wake draw and
+//! schedule per quad), so a dense slot pays one read for all its
+//! listeners, not one per 4-listener quad. Treat the shares as accurate to
+//! a point or two.
 
 use lowsense::{LowSensing, Params};
 use lowsense_sim::arrivals::Batch;
@@ -119,9 +119,9 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 pub struct CapacityProbe {
     /// Peak engine-overhead bytes.
     pub peak_engine_bytes: u64,
-    /// Peak bytes in the engine's per-slot buffers alone (participant
-    /// lists, positions, wakes, the stage plan and the staged state
-    /// scratch) — a sub-slice of
+    /// Peak bytes in the engine's per-slot buffers alone (the participant
+    /// list, the split's cohorts and sender ids, the stage plan and the
+    /// staged state scratch) — a sub-slice of
     /// [`peak_engine_bytes`](Self::peak_engine_bytes), broken out so their
     /// cost stays visible in `BENCH_engine.json`.
     pub peak_stage_bytes: u64,
@@ -226,6 +226,20 @@ fn profile_reps(scenario: &Scenario<Batch, NoJam>, reps: u64) -> (SmokeProfile, 
 /// `packets` packets): one discarded warm-up, then `reps` measured seeds.
 pub fn profile_sparse_smoke(packets: u64, reps: u64) -> SmokeProfile {
     let scenario = scenarios::batch_drain(packets).totals_only();
+    Profiler::default().run(&scenario.seeded(0), lsb);
+    profile_reps(&scenario, reps).0
+}
+
+/// Profiles the no-CD smoke workload (`sparse_lsb_16384_nocd` shape):
+/// `packets` LSB stations on the no-collision-detection channel, horizon
+/// capped at `until_slot` because LSB livelocks there, one discarded
+/// warm-up, then `reps` measured seeds. Its accesses are ~44% sends, so
+/// it is the profile where the split and the losing-sender cohort carry
+/// real weight.
+pub fn profile_sparse_nocd(packets: u64, until_slot: Slot, reps: u64) -> SmokeProfile {
+    let scenario = scenarios::nocd_batch(packets)
+        .totals_only()
+        .until_slot(until_slot);
     Profiler::default().run(&scenario.seeded(0), lsb);
     profile_reps(&scenario, reps).0
 }

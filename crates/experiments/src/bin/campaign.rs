@@ -9,6 +9,7 @@
 //! campaign feedback-grid                    # protocols × channel models
 //! campaign feedback-grid --progress         # live cells/sec + ETA line
 //! campaign faceoff --progress-json P.jsonl  # machine-readable progress
+//! campaign --help                           # the usage line, exit 0
 //! ```
 //!
 //! The artifact bytes are a pure function of `(campaign, scale, seed)` —
@@ -21,11 +22,12 @@ use std::num::NonZeroUsize;
 use lowsense_experiments::campaigns;
 use lowsense_experiments::common::pow2_sweep;
 
+/// The usage line: what `--help` prints, and bad input's error.
+const USAGE: &str = "usage: campaign <faceoff|feedback-grid> [--shards N] [--seed S] \
+                     [--out FILE] [--full] [--progress] [--progress-json FILE]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: campaign <faceoff|feedback-grid> [--shards N] [--seed S] [--out FILE] [--full] \
-         [--progress] [--progress-json FILE]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -53,6 +55,10 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--shards" => shards = Some(parse::<NonZeroUsize>(it.next()).get()),
             "--seed" => seed = parse(it.next()),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage())),

@@ -6,15 +6,23 @@
 //! repro t2 t4 f3             # run a subset
 //! repro all --quick          # reduced sweeps (what the benches print)
 //! repro all --csv out/       # also write one CSV per table
+//! repro --help               # the usage lines, on stdout, exit 0
 //! ```
 
 use std::time::Instant;
 
 use lowsense_experiments::{registry, Scale};
 
+/// The usage lines: what `--help` prints, and bad input's error.
+fn usage_text() -> String {
+    format!(
+        "usage: repro <list|all|ID...> [--quick] [--csv DIR]\n       IDs: {}",
+        ids().join(" ")
+    )
+}
+
 fn usage() -> ! {
-    eprintln!("usage: repro <list|all|ID...> [--quick] [--csv DIR]");
-    eprintln!("       IDs: {}", ids().join(" "));
+    eprintln!("{}", usage_text());
     std::process::exit(2);
 }
 
@@ -40,6 +48,10 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{}", usage_text());
+                return;
+            }
             "--quick" => scale = Scale::Quick,
             "--csv" => {
                 csv_dir = Some(it.next().unwrap_or_else(|| usage()));

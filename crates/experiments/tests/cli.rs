@@ -1,6 +1,8 @@
 //! The binaries' bad input: an output path the process cannot write must
 //! end in one line naming the path and exit code 2, and a bad flag value
-//! in the usage line and exit code 2 — never a panic.
+//! in the usage line and exit code 2 — never a panic. Asking for help is
+//! not bad input: `--help` and `-h` print the usage line to stdout and
+//! exit 0.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -65,4 +67,39 @@ fn campaign_rejects_zero_shards() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("usage: campaign"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn help_prints_the_usage_line_and_exits_zero() {
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_repro"), "repro"),
+        (env!("CARGO_BIN_EXE_campaign"), "campaign"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin)
+                .arg(flag)
+                .output()
+                .expect("spawn the binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}: {stderr}");
+            assert!(
+                stdout.starts_with(&format!("usage: {name} ")),
+                "{name} {flag}: {stdout}"
+            );
+            assert!(stderr.is_empty(), "{name} {flag}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn repro_rejects_an_unknown_experiment_id() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--halp")
+        .output()
+        .expect("spawn the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment id: --halp"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
 }

@@ -245,8 +245,8 @@ pub fn geometric_inv(rng: &mut SimRng, p: f64, inv_ln_q: f64) -> u64 {
 /// RNG values are drawn **in ascending lane order** with degenerate lanes
 /// drawing nothing (the batched-wake contract); the uniforms' logarithms
 /// evaluate through [`fast_ln4`], whose per-lane arithmetic is the scalar
-/// [`fast_ln`]'s, so the sparse engine's 4-wide wake pass and the reference
-/// engine's scalar draws stay bit-equal.
+/// [`fast_ln`]'s, so the sparse engine's 4-wide cohort draws and the
+/// reference engine's scalar draws stay bit-equal.
 ///
 /// # Panics
 ///

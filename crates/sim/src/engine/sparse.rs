@@ -12,35 +12,40 @@
 //! scattered heap traffic even at million-station horizons; per-packet
 //! state lives in the epoch-compacted
 //! [`PacketTable`], which keeps the live
-//! population dense in memory as the run drains; and the listener loop
-//! draws wakes four packets at a time through the protocol layer's batched
-//! wake draw ([`SparseProtocol::next_wake4`]), which evaluates the
-//! per-listen logarithm SIMD-wide (see `BENCH_engine.json`, which records
-//! this engine and the reference on a bit-identical workload).
+//! population dense in memory as the run drains; and every participant
+//! that draws a wake goes through one **cohort sweep**. The slot's
+//! listeners form one cohort and, unless the slot was a success, its
+//! (losing) senders another: each hears one observation, so the sweep
+//! observes four states, draws their wakes through the protocol layer's
+//! batched draw ([`SparseProtocol::next_wake4`], which evaluates the
+//! per-access logarithm SIMD-wide) and schedules them, quad by quad, in a
+//! single pass (see `BENCH_engine.json`, which records this engine and
+//! the reference on a bit-identical workload).
 //!
 //! The loop body is generic over the wake set (the `WakeSet` trait): the
 //! production entry point [`run_sparse`] instantiates it with the wheel,
 //! while [`run_sparse_flat`] runs the *same* body over the retained flat
 //! calendar ring ([`FlatWakeQueue`](crate::engine::wake_flat)) — a second,
 //! structurally different oracle used by the three-way equivalence tests.
-//! Within a slot, the passes address states by per-slot *position*, with
-//! two position spaces behind one generic pass body (`slot_passes`, over
-//! the [`SlotArena`](crate::engine::stage) arena trait). On the **direct**
-//! path the split pass resolves each participant's id → dense index
-//! **once**, and the observe/wake passes touch only the hot state lane
-//! (see [`table`](crate::engine::table)), never re-reading the remap. On
-//! the **staged** path — taken when the participant set is large *and* the
-//! state lane has outgrown the cache
-//! ([`staging_applies`]) — the
-//! engine **gathers** the participants' states, in insertion order, into a
-//! contiguous scratch with two prefetched sweeps, runs the same passes
-//! against the scratch (participant `k` at scratch position `k`), and
-//! **scatters** the mutated states back before the depart path reads the
-//! table (see [`stage`](crate::engine::stage)). Either way, handles never
-//! span a compaction: the engine compacts only at end-of-slot, after a
-//! depart.
+//! Within a slot, the sweeps address states by per-slot *position*, with
+//! two position spaces behind one generic body (`slot_passes`, over the
+//! [`SlotArena`](crate::engine::stage) arena trait). The split is a
+//! branch-free partition of the participants into (id, position) entries
+//! for the two cohorts, plus an id-only sender list for the jam decision
+//! and the resolve. On the **direct** path the split resolves each
+//! participant's id → dense index **once**, and the cohort sweeps touch
+//! only the hot state lane (see [`table`](crate::engine::table)), never
+//! re-reading the remap. On the **staged** path — taken when the
+//! participant set is large *and* the state lane has outgrown the cache
+//! ([`staging_applies`]) — the engine **gathers** the participants'
+//! states, in insertion order, into a contiguous scratch with two
+//! prefetched sweeps, runs the split and the cohort sweeps against the
+//! scratch (participant `k` at scratch position `k`), and **scatters** the
+//! mutated states back before the depart path reads the table (see
+//! [`stage`](crate::engine::stage)). Either way, handles never span a
+//! compaction: the engine compacts only at end-of-slot, after a depart.
 //!
-//! The loop marks the end of each of its thirteen phases through
+//! The loop marks the end of each of its eleven phases through
 //! [`Hooks::on_phase`] (see [`Phase`]). Hook sets that leave the default
 //! compile the marks away; the bench crate's profiler times them, so the
 //! published phase shares describe this loop and no copy of it.
@@ -74,7 +79,7 @@ use crate::hooks::{EngineSample, Hooks, Phase};
 use crate::jamming::Jammer;
 use crate::metrics::{RunResult, Totals};
 use crate::packet::PacketId;
-use crate::protocol::SparseProtocol;
+use crate::protocol::{SparseProtocol, BATCH_LANES};
 use crate::rng::SimRng;
 use crate::time::{offset, wake_slot, Slot};
 
@@ -165,34 +170,24 @@ where
     })
 }
 
-/// The slot's listener (observe + wake) and sender passes, generic over
-/// the [`SlotArena`] the participant states live in: the packet table on
-/// the direct path (a position is a dense-lane index), the staged scratch
-/// on the staged path (a position is the participant's insertion
-/// position, which is its scratch index). Both paths are this
-/// one function monomorphized, so every RNG draw, observation, hook call,
-/// and contention accumulation happens in the same canonical insertion
-/// order on either path — bit-identity between the paths is by
-/// construction, not by keeping two loop bodies in sync.
+/// The slot's two cohort sweeps, generic over the [`SlotArena`] the
+/// participant states live in: the packet table on the direct path (a
+/// position is a dense-lane index), the staged scratch on the staged path
+/// (a position is the participant's insertion position, which is its
+/// scratch index). Both paths are this one function monomorphized, so
+/// every RNG draw, observation, hook call, and contention accumulation
+/// happens in the same canonical insertion order on either path —
+/// bit-identity between the paths is by construction, not by keeping two
+/// loop bodies in sync.
 ///
-/// The listener loop is split into an observation pass, a wake-draw pass,
-/// and a schedule pass, each sweeping the whole cohort before the next
-/// starts. Observations draw no randomness and scheduling draws nothing
-/// and touches no state, so the only RNG draws are the wake draws — and
-/// those run in the slot's insertion order in all three shapes
-/// (interleaved reference loop, two-pass, three-pass): the RNG stream,
-/// the hook sequence, the contention accumulation order, and the
-/// `queue.schedule` call order are all exactly the reference oracle's.
-/// The observe pass is a scalar sweep through `observe_one`, like the
-/// sender pass. The wake pass draws four listeners at a time through the
-/// protocol's batched wake draw ([`SparseProtocol::next_wake4`]), whose
-/// contract is bit-identical lanes in cohort order, and parks its
-/// `wake_slot` results in the caller's `wakes` buffer so the schedule
-/// pass streams the queue without re-touching the state arena. Cohort
-/// collection is trivial: `listeners` is already in the slot's insertion
-/// order (the reference oracle's processing order), so the cohorts are
-/// consecutive quadruples, with the tail (< 4 packets) going through the
-/// scalar `next_wake` the default falls back to anyway.
+/// A cohort is a set of participants that hear one observation and then
+/// draw a wake: the listeners always, and the senders unless the slot was
+/// a success. [`resolve_slot`](crate::feedback::resolve_slot) reports
+/// `Success` only for exactly one unjammed sender, so a slot's senders
+/// are either `[winner]`, who observes and departs with no draw, or all
+/// losers, who each hear the same `sender_feedback(outcome, false)`. Each
+/// cohort runs through [`sweep_cohort`] once, listeners first, which is
+/// the reference loop's order.
 #[allow(clippy::too_many_arguments)]
 fn slot_passes<P, A, J, M, H, Q, S>(
     arena: &mut S,
@@ -203,11 +198,7 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     outcome: &SlotOutcome,
     model: M,
     contention: &mut f64,
-    senders: &[PacketId],
-    senders_pos: &[u32],
-    listeners: &[PacketId],
-    listeners_pos: &[u32],
-    wakes: &mut Vec<Option<Slot>>,
+    split: &Split,
 ) where
     P: SparseProtocol,
     A: ArrivalProcess,
@@ -217,76 +208,89 @@ fn slot_passes<P, A, J, M, H, Q, S>(
     Q: WakeSet,
     S: SlotArena<P>,
 {
-    let fb = model.listener_feedback(outcome);
-    let obs = Observation::listener(te, fb);
+    let obs = Observation::listener(te, model.listener_feedback(outcome));
+    let listeners = split.listeners();
+    sweep_cohort(arena, core, listeners, &obs, queue, hooks, contention);
+    hooks.on_phase(Phase::Listeners);
 
-    // Observation pass: every listener sees the slot's feedback before any
-    // wake draw happens. Observations draw no randomness, so reordering
-    // them ahead of the draws leaves the RNG stream untouched, and the
-    // contention f64s are added in the same insertion order as the
-    // reference loop.
-    for (&id, &pos) in listeners.iter().zip(listeners_pos) {
-        core.metrics.note_listen(id);
-        observe_one(arena.at_mut(pos), &obs, te, id, hooks, contention);
-    }
-    hooks.on_phase(Phase::Observe);
-
-    // Wake-draw pass: the slot's only RNG draws, in the slot's insertion
-    // order — exactly the reference loop's stream. The resolved wake
-    // slots park in `wakes` (parallel to `listeners`) instead of going to
-    // the queue one by one.
-    wakes.clear();
-    let mut quads_pos = listeners_pos.chunks_exact(4);
-    for quad_pos in quads_pos.by_ref() {
-        let mut lanes = arena.four_at([quad_pos[0], quad_pos[1], quad_pos[2], quad_pos[3]]);
-        let delays = P::next_wake4(&mut lanes, &mut core.rng);
-        wakes.extend(delays.iter().map(|&d| wake_slot(te + 1, d)));
-    }
-    for &pos in quads_pos.remainder() {
-        let delay = arena.at_mut(pos).next_wake(&mut core.rng);
-        wakes.push(wake_slot(te + 1, delay));
-    }
-    hooks.on_phase(Phase::Wake);
-
-    // Schedule pass: pure queue traffic, no state-arena or RNG touches,
-    // same `queue.schedule` call sequence as the reference loop (listener
-    // insertion order), so every bucket's insertion order is preserved.
-    // The lookahead hints the bucket a few pushes out — a dense slot
-    // scatters its schedules across the whole wheel, so each push would
-    // otherwise stall on a cold bucket line.
-    for (i, (&id, &wake)) in listeners.iter().zip(wakes.iter()).enumerate() {
-        if let Some(&Some(ahead)) = wakes.get(i + 16) {
-            queue.prefetch_schedule(ahead);
-        }
-        if let Some(slot) = wake {
-            queue.schedule(slot, id.0);
-        }
-    }
-    hooks.on_phase(Phase::Sched);
-
-    let winner = match *outcome {
-        SlotOutcome::Success { id } => Some(id),
-        _ => None,
-    };
-    for (&id, &pos) in senders.iter().zip(senders_pos) {
+    if let SlotOutcome::Success { id } = *outcome {
+        debug_assert_eq!(split.sender_ids(), [id]);
         core.metrics.note_send(id);
-        let succeeded = winner == Some(id);
-        let obs = Observation::sender(te, model.sender_feedback(outcome, succeeded), succeeded);
-        let p = arena.at_mut(pos);
-        observe_one(p, &obs, te, id, hooks, contention);
-        if !succeeded {
-            let delay = p.next_wake(&mut core.rng);
-            if let Some(slot) = wake_slot(te + 1, delay) {
-                queue.schedule(slot, id.0);
-            }
-        }
+        let obs = Observation::sender(te, model.sender_feedback(outcome, true), true);
+        let winner = arena.at_mut(split.senders()[0].pos);
+        observe_one(winner, &obs, te, id, hooks, contention);
+    } else {
+        let obs = Observation::sender(te, model.sender_feedback(outcome, false), false);
+        sweep_cohort(arena, core, split.senders(), &obs, queue, hooks, contention);
     }
     hooks.on_phase(Phase::Senders);
 }
 
+/// One cohort sweep: each participant of `cohort`, in order, has its
+/// access counted, observes `obs`, draws its next wake, and is scheduled,
+/// four at a time.
+///
+/// A quad's four states are fetched once ([`SlotArena::four_at`]); the
+/// sweep observes all four, draws their wakes through the protocol's
+/// batched draw ([`SparseProtocol::next_wake4`], whose contract is
+/// bit-identical lanes in cohort order) and pushes them to the wake set.
+/// The tail (< 4 participants) goes through the scalar `next_wake` the
+/// default falls back to anyway. Observations draw no randomness and touch
+/// only their own state, and each draw reads only its own state, so
+/// observing a quad before drawing it moves no RNG value and no f64
+/// addition: the RNG stream, the hook sequence, the contention
+/// accumulation order, and the `queue.schedule` call order are all exactly
+/// the reference oracle's.
+#[inline]
+fn sweep_cohort<P, A, J, M, H, Q, S>(
+    arena: &mut S,
+    core: &mut EngineCore<A, J, M>,
+    cohort: &[Entry],
+    obs: &Observation,
+    queue: &mut Q,
+    hooks: &mut H,
+    contention: &mut f64,
+) where
+    P: SparseProtocol,
+    H: Hooks<P>,
+    Q: WakeSet,
+    S: SlotArena<P>,
+{
+    let te = obs.slot;
+    let mut note = |id: PacketId| {
+        if obs.sent {
+            core.metrics.note_send(id)
+        } else {
+            core.metrics.note_listen(id)
+        }
+    };
+    let mut quads = cohort.chunks_exact(BATCH_LANES);
+    for quad in quads.by_ref() {
+        let mut lanes = arena.four_at([quad[0].pos, quad[1].pos, quad[2].pos, quad[3].pos]);
+        for (e, p) in quad.iter().zip(lanes.iter_mut()) {
+            note(PacketId(e.id));
+            observe_one(&mut **p, obs, te, PacketId(e.id), hooks, contention);
+        }
+        let delays = P::next_wake4(&mut lanes, &mut core.rng);
+        for (e, &delay) in quad.iter().zip(&delays) {
+            if let Some(slot) = wake_slot(te + 1, delay) {
+                queue.schedule(slot, e.id);
+            }
+        }
+    }
+    for e in quads.remainder() {
+        note(PacketId(e.id));
+        let p = arena.at_mut(e.pos);
+        observe_one(p, obs, te, PacketId(e.id), hooks, contention);
+        if let Some(slot) = wake_slot(te + 1, p.next_wake(&mut core.rng)) {
+            queue.schedule(slot, e.id);
+        }
+    }
+}
+
 /// Delivers `obs` to one participant and adds its send-probability change
-/// to `contention`: the one observe step of the listener and sender
-/// passes.
+/// to `contention`: the one observe step of the cohort sweeps and the
+/// winner.
 ///
 /// Hook sets that want observations get the before/after state pair.
 /// Inert ones ([`Hooks::wants_observe`] `false`) skip the clone and keep
@@ -316,6 +320,99 @@ fn observe_one<P, H>(
     }
 }
 
+/// A participant as the cohort sweeps address it: its id (for metrics,
+/// hooks and the wake set) and its position in the slot's arena — a dense
+/// index on the direct path, where the split pays the id → index remap
+/// once, and the insertion position, which is the scratch index, on the
+/// staged path.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    id: u32,
+    pos: u32,
+}
+
+/// The split's output: the senders and the listeners as [`Entry`]
+/// cohorts, both in insertion order, plus the senders' ids alone for the
+/// jam decision and the resolve.
+///
+/// The partition is branch-free: every participant is written at the tail
+/// of both cohort lists and only its own side's tail advances, so a
+/// `send_on_access` coin flip costs no mispredicted branch. The writes
+/// need initialized slots, so each cohort list's length is a high-water
+/// mark (grown, never refilled, when a slot outgrows it) and only the
+/// prefixes the last partition counted are live.
+#[derive(Default)]
+struct Split {
+    sender_ids: Vec<PacketId>,
+    senders: Vec<Entry>,
+    listeners: Vec<Entry>,
+    n_listeners: usize,
+}
+
+impl Split {
+    /// Partitions the slot's participants, each given as its entry and
+    /// whether it sends, in insertion order.
+    #[inline]
+    fn partition(&mut self, participants: impl ExactSizeIterator<Item = (Entry, bool)>) {
+        fn grow(v: &mut Vec<Entry>, n: usize) {
+            if v.len() < n {
+                v.resize(n, Entry::default());
+            }
+        }
+        let n = participants.len();
+        grow(&mut self.senders, n);
+        grow(&mut self.listeners, n);
+        let (mut s, mut l) = (0, 0);
+        for (e, sends) in participants {
+            self.senders[s] = e;
+            self.listeners[l] = e;
+            s += sends as usize;
+            l += !sends as usize;
+        }
+        self.n_listeners = l;
+        self.sender_ids.clear();
+        self.sender_ids
+            .extend(self.senders[..s].iter().map(|e| PacketId(e.id)));
+    }
+
+    fn sender_ids(&self) -> &[PacketId] {
+        &self.sender_ids
+    }
+
+    fn senders(&self) -> &[Entry] {
+        &self.senders[..self.sender_ids.len()]
+    }
+
+    fn listeners(&self) -> &[Entry] {
+        &self.listeners[..self.n_listeners]
+    }
+
+    fn bytes(&self) -> usize {
+        bytes(&self.sender_ids) + bytes(&self.senders) + bytes(&self.listeners)
+    }
+
+    /// End of slot: forgets the slot's cohorts and, like every per-slot
+    /// buffer, shrinks each list to `keep` entries once its capacity
+    /// exceeds twice that ([`cap_scratch`]). A cohort list's high-water
+    /// length is cut first, or the shrink could not go below it.
+    fn cap(&mut self, keep: usize) {
+        self.sender_ids.clear();
+        self.n_listeners = 0;
+        for v in [&mut self.senders, &mut self.listeners] {
+            if v.capacity() > 2 * keep {
+                v.truncate(keep);
+            }
+            cap_scratch(v, keep);
+        }
+        cap_scratch(&mut self.sender_ids, keep);
+    }
+}
+
+/// Allocated bytes of a buffer.
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// The sparse loop's per-slot buffers: refilled every event slot, kept
 /// from one slot to the next, and shrunk at the end of a slot relative to
 /// that slot's demand ([`shrink`](Self::shrink)).
@@ -323,18 +420,7 @@ struct SlotBuffers<P> {
     /// The slot's participants, in insertion order (the (slot, seq)-keyed
     /// reference heap's pop order).
     participants: Vec<u32>,
-    senders: Vec<PacketId>,
-    listeners: Vec<PacketId>,
-    /// Per-slot arena positions, parallel to `senders` / `listeners`:
-    /// dense indices on the direct path (the id → index remap is paid once
-    /// in the split pass), insertion positions — which are scratch indices
-    /// — on the staged path. The observe and wake passes index the slot's
-    /// arena directly either way.
-    senders_pos: Vec<u32>,
-    listeners_pos: Vec<u32>,
-    /// Resolved wake slots, parallel to `listeners`, handed from the
-    /// wake-draw pass to the schedule pass (see `slot_passes`).
-    wakes: Vec<Option<Slot>>,
+    split: Split,
     /// Staged slots only (see crate::engine::stage): the participants'
     /// handles and the contiguous scratch of their states.
     stage: StagePlan,
@@ -345,11 +431,7 @@ impl<P> SlotBuffers<P> {
     fn new() -> Self {
         SlotBuffers {
             participants: Vec::new(),
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            senders_pos: Vec::new(),
-            listeners_pos: Vec::new(),
-            wakes: Vec::new(),
+            split: Split::default(),
             stage: StagePlan::new(),
             scratch: Vec::new(),
         }
@@ -357,15 +439,8 @@ impl<P> SlotBuffers<P> {
 
     /// Allocated bytes across every buffer: a sample's `stage_bytes`.
     fn bytes(&self) -> usize {
-        fn bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
         bytes(&self.participants)
-            + bytes(&self.senders)
-            + bytes(&self.listeners)
-            + bytes(&self.senders_pos)
-            + bytes(&self.listeners_pos)
-            + bytes(&self.wakes)
+            + self.split.bytes()
             + self.stage.footprint_bytes()
             + bytes(&self.scratch)
     }
@@ -381,11 +456,7 @@ impl<P> SlotBuffers<P> {
         // no shrink can go.
         self.scratch.clear();
         cap_scratch(&mut self.participants, keep);
-        cap_scratch(&mut self.senders, keep);
-        cap_scratch(&mut self.listeners, keep);
-        cap_scratch(&mut self.senders_pos, keep);
-        cap_scratch(&mut self.listeners_pos, keep);
-        cap_scratch(&mut self.wakes, keep);
+        self.split.cap(keep);
         cap_scratch(&mut self.scratch, keep);
         self.stage.cap(keep);
     }
@@ -552,11 +623,7 @@ where
 
         let SlotBuffers {
             participants,
-            senders,
-            listeners,
-            senders_pos,
-            listeners_pos,
-            wakes,
+            split,
             stage,
             scratch,
         } = &mut bufs;
@@ -600,23 +667,20 @@ where
 
         // Split participants into senders and pure listeners. Below the
         // staging gate (the direct path) the split resolves each packet's
-        // dense handle exactly once and later passes index the hot state
-        // lane through it. Past the gate — a high-fanout slot over a
+        // dense handle exactly once and the cohort sweeps index the hot
+        // state lane through it. Past the gate — a high-fanout slot over a
         // cache-busting state lane — the slot is staged: the participants'
         // states are gathered into `scratch` in insertion order (prefetched
         // sweeps instead of a dependent miss per packet), the split and
-        // every later pass read participant k at scratch position k, and
-        // the mutated states are scattered back before the depart path
-        // reads the table. Either way no handle survives past this slot's
+        // both sweeps read participant k at scratch position k, and the
+        // mutated states are scattered back before the depart path reads
+        // the table. Either way no handle survives past this slot's
         // (potential) end-of-slot compaction.
         let staged = staging_applies(
             participants.len(),
             packets.dense_len() * std::mem::size_of::<P>(),
         );
-        senders.clear();
-        listeners.clear();
-        senders_pos.clear();
-        listeners_pos.clear();
+        let rng = &mut core.rng;
         if staged {
             // Recording and gather draw no randomness, so the RNG stream
             // starts exactly where the direct path's split would start it.
@@ -624,38 +688,32 @@ where
             hooks.on_phase(Phase::Permute);
             stage.gather(&packets, scratch);
             hooks.on_phase(Phase::Gather);
-            for (k, (&id, p)) in participants.iter().zip(scratch.iter_mut()).enumerate() {
-                if p.send_on_access(&mut core.rng) {
-                    senders.push(PacketId(id));
-                    senders_pos.push(k as u32);
-                } else {
-                    listeners.push(PacketId(id));
-                    listeners_pos.push(k as u32);
-                }
-            }
+            split.partition(
+                participants
+                    .iter()
+                    .zip(scratch.iter_mut())
+                    .enumerate()
+                    .map(|(k, (&id, p))| (Entry { id, pos: k as u32 }, p.send_on_access(rng))),
+            );
         } else {
-            for &id in participants.iter() {
+            split.partition(participants.iter().map(|&id| {
                 let d = packets.resolve(PacketId(id));
-                if packets.state_at_mut(d).send_on_access(&mut core.rng) {
-                    senders.push(PacketId(id));
-                    senders_pos.push(d.0);
-                } else {
-                    listeners.push(PacketId(id));
-                    listeners_pos.push(d.0);
-                }
-            }
+                let sends = packets.state_at_mut(d).send_on_access(rng);
+                (Entry { id, pos: d.0 }, sends)
+            }));
         }
         hooks.on_phase(Phase::Split);
 
+        let senders = split.sender_ids();
         let jam = core.jam_decision(te, active_count, contention, senders);
         let outcome = core.resolve(te, jam, senders);
         hooks.on_slot(te, &outcome);
         hooks.on_phase(Phase::Resolve);
 
-        // The observe/wake/sender passes, against whichever arena holds
-        // this slot's states (see `slot_passes`). On the staged path the
-        // mutated scratch is scattered back through the plan's handles
-        // before the winner's depart block below reads the table.
+        // The two cohort sweeps, against whichever arena holds this slot's
+        // states (see `slot_passes`). On the staged path the mutated
+        // scratch is scattered back through the plan's handles before the
+        // winner's depart block below reads the table.
         if staged {
             slot_passes(
                 scratch,
@@ -666,11 +724,7 @@ where
                 &outcome,
                 model,
                 &mut contention,
-                senders,
-                senders_pos,
-                listeners,
-                listeners_pos,
-                wakes,
+                split,
             );
             packets.scatter_from(stage.handles(), scratch);
             hooks.on_phase(Phase::Scatter);
@@ -684,11 +738,7 @@ where
                 &outcome,
                 model,
                 &mut contention,
-                senders,
-                senders_pos,
-                listeners,
-                listeners_pos,
-                wakes,
+                split,
             );
         }
 
@@ -1002,7 +1052,7 @@ mod tests {
                 rng.bernoulli(0.5)
             }
         }
-        /// Leaves `wants_observe` at its `true` default, so the passes
+        /// Leaves `wants_observe` at its `true` default, so the sweeps
         /// clone a before-state for every observation.
         struct CountObserves(u64);
         impl Hooks<Halving> for CountObserves {
@@ -1157,9 +1207,10 @@ mod tests {
         );
         // What the rule lets a slot with at most SCRATCH_CAP participants
         // keep: twice SCRATCH_CAP entries in each buffer — participants,
-        // senders, listeners, both position lists, the plan's ids and
-        // handles (4 B each), the wakes, and the 64-byte state scratch.
-        let per_entry = 7 * 4 + std::mem::size_of::<Option<Slot>>() + std::mem::size_of::<Burst>();
+        // sender ids, the plan's ids and handles (4 B each), the sender
+        // and listener cohorts (an 8-byte entry each), and the 64-byte
+        // state scratch.
+        let per_entry = 4 * 4 + 2 * std::mem::size_of::<Entry>() + std::mem::size_of::<Burst>();
         let bound = (2 * SCRATCH_CAP * per_entry) as u64;
         let (burst, quiet) = sampled.0.split_first().expect("samples");
         assert!(*burst >= N * 64, "burst slot holds its scratch: {burst}");

@@ -19,12 +19,13 @@
 //!    overlap in the memory pipeline instead of serializing (see the method
 //!    docs for why the sweeps are deliberately *not* fused). Afterwards
 //!    `handles()[k]` and `scratch[k]` both belong to `participants[k]`.
-//! 3. **Process** — the split/observe/wake/sender passes run against the
-//!    scratch, addressing participant `k` at scratch position `k`. Every
-//!    pass therefore reads the scratch front to back, and every RNG draw,
-//!    observation, hook call, and contention accumulation happens in
-//!    exactly the (slot, seq) order the three-way oracle suite pins —
-//!    bit-identical by construction; only the memory addresses moved.
+//! 3. **Process** — the split and the two cohort sweeps (listeners, then
+//!    losing senders) run against the scratch, addressing participant `k`
+//!    at scratch position `k`. Every pass therefore reads the scratch
+//!    front to back, and every RNG draw, observation, hook call, and
+//!    contention accumulation happens in exactly the (slot, seq) order the
+//!    three-way oracle suite pins — bit-identical by construction; only
+//!    the memory addresses moved.
 //! 4. **Scatter** — [`PacketTable::scatter_from`] writes the mutated
 //!    states back through the same handles, a second prefetched sweep,
 //!    before the winner's depart path reads the table.
@@ -33,11 +34,11 @@
 //! address a few dozen iterations ahead, not an ascending one, and the
 //! handle list supplies it in any order. Nor is insertion order random
 //! with respect to dense address: injections are scheduled in id order,
-//! and each slot's schedule pass pushes its listeners into the wheel in
-//! that slot's order, so a bucket holds a concatenation of ascending-id
-//! runs. Dense order follows id order (see [`PacketTable`]), so
-//! neighbours within a run share pages much as a sorted list's would.
-//! Sorting by
+//! and each slot's cohort sweeps push its listeners, then its losing
+//! senders, into the wheel in that slot's order, so a bucket holds a
+//! concatenation of ascending-id runs. Dense order follows id order (see
+//! [`PacketTable`]), so neighbours within a run share pages much as a
+//! sorted list's would. Sorting by
 //! address would buy the sweeps little, and every pass would then read the
 //! scratch through a permutation, one cache miss per participant once the
 //! cohort's scratch outgrows the private caches (~6 MB of 16 B states at
@@ -176,21 +177,21 @@ impl StagePlan {
     }
 }
 
-/// A slot's state arena: where the listener/sender passes read and write
+/// A slot's state arena: where the cohort sweeps read and write
 /// participant states, addressed by per-slot position.
 ///
 /// Two implementations make the direct and staged paths one piece of
 /// code: for [`PacketTable`] a position is a dense-lane index (the direct
 /// path — identical machine code to the pre-staging engine), for `Vec<P>`
 /// it is the participant's insertion position, which is its scratch index
-/// (the staged path). The passes are generic over this trait, so
+/// (the staged path). The sweeps are generic over this trait, so
 /// bit-identity between the paths is by monomorphization of the same
 /// statements, not by keeping two copies in sync.
 pub(crate) trait SlotArena<P> {
     /// The state at per-slot position `pos`.
     fn at_mut(&mut self, pos: u32) -> &mut P;
-    /// Four distinct positions' states as a batch-lane array for the
-    /// 4-wide wake draw.
+    /// Four distinct positions' states as a batch-lane array: one quad of
+    /// a cohort sweep, observed and then drawn 4-wide.
     fn four_at(&mut self, pos: [u32; 4]) -> [&mut P; 4];
 }
 

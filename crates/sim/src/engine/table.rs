@@ -15,7 +15,7 @@
 //! difference between streaming one array and dragging three:
 //!
 //! * `states` — the **hot lane**: protocol states, dense, touched by every
-//!   observe/wake pass;
+//!   split and cohort sweep;
 //! * `ids` — the **depart lane**: the original id of each dense entry,
 //!   read only when a packet departs (hooks and metrics speak original
 //!   [`PacketId`]s) and during compaction;

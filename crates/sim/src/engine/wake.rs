@@ -88,7 +88,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::engine::table::{prefetch_read, prefetch_write_ptr};
 use crate::time::Slot;
 
 /// log2 of each level's granularity in slots: L0 is slot-granular, L1
@@ -280,9 +279,6 @@ pub(crate) trait WakeSet {
     fn new() -> Self;
     /// Schedules packet `id` to wake in `slot` (≥ the current base).
     fn schedule(&mut self, slot: Slot, id: u32);
-    /// Best-effort hint that a `schedule(slot, _)` is coming a few calls
-    /// out; purely advisory (default: no-op), never affects results.
-    fn prefetch_schedule(&self, _slot: Slot) {}
     /// The earliest slot with a pending event, if any.
     fn next_slot(&self) -> Option<Slot>;
     /// Moves the clock forward to `t` (≤ the earliest pending slot).
@@ -419,37 +415,6 @@ impl WakeQueue {
         } else {
             self.far.push(Reverse((slot, seq, id)));
         }
-    }
-
-    /// Hints the memory a `schedule(slot, _)` a few calls from now will
-    /// touch. A dense slot's schedule pass lands all over the rings —
-    /// every push a cold bucket — so running this a short distance ahead
-    /// of the pushes keeps several bucket misses in flight at once.
-    ///
-    /// For a coarse bucket the push appends to the events vector, whose
-    /// tail line is only reachable *through* the header — a dependent
-    /// chain no single hint covers — so this reads the header (plain
-    /// loads, off every critical path) and hints the tail line the push
-    /// will write.
-    #[inline]
-    pub fn prefetch_schedule(&self, slot: Slot) {
-        if slot < self.ends[0] {
-            // L0 pushes normally land in the bucket's inline cell — one
-            // cache line, one hint.
-            prefetch_read(&self.buckets[(slot as usize) & L0_MASK]);
-        } else if slot < self.ends[3] {
-            let lvl = if slot < self.ends[1] {
-                0
-            } else if slot < self.ends[2] {
-                1
-            } else {
-                2
-            };
-            let idx = ((slot >> SHIFT[lvl + 1]) as usize) & COARSE_MASK;
-            let events = &self.coarse[lvl].buckets[idx].events;
-            prefetch_write_ptr(events.as_ptr().wrapping_add(events.len()) as *const u8);
-        }
-        // Far-heap pushes only touch the heap's tail, which stays hot.
     }
 
     /// Pushes an event into the unique ring level covering `slot` under
@@ -662,10 +627,6 @@ impl WakeSet for WakeQueue {
     #[inline]
     fn schedule(&mut self, slot: Slot, id: u32) {
         WakeQueue::schedule(self, slot, id)
-    }
-    #[inline]
-    fn prefetch_schedule(&self, slot: Slot) {
-        WakeQueue::prefetch_schedule(self, slot)
     }
     #[inline]
     fn next_slot(&self) -> Option<Slot> {

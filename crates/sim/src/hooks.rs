@@ -35,13 +35,11 @@ pub enum Phase {
     /// The jam decision and slot outcome (all of an arrival-only slot
     /// after its bucket drain).
     Resolve,
-    /// The listeners' observation pass and contention update.
-    Observe,
-    /// The listeners' wake-delay draws.
-    Wake,
-    /// The listeners' wake-set pushes.
-    Sched,
-    /// Sender observations and reschedules.
+    /// The listener cohort's sweep: observations, contention updates,
+    /// wake draws and wake-set pushes, four listeners at a time.
+    Listeners,
+    /// The senders: the winner's observation, or the losing cohort's sweep
+    /// (the same steps as [`Listeners`](Phase::Listeners)).
     Senders,
     /// Staged slots only: the state copy-back sweep.
     Scatter,
@@ -52,7 +50,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in loop order.
-    pub const ALL: [Phase; 13] = [
+    pub const ALL: [Phase; 11] = [
         Phase::Control,
         Phase::Inject,
         Phase::Take,
@@ -60,9 +58,7 @@ impl Phase {
         Phase::Gather,
         Phase::Split,
         Phase::Resolve,
-        Phase::Observe,
-        Phase::Wake,
-        Phase::Sched,
+        Phase::Listeners,
         Phase::Senders,
         Phase::Scatter,
         Phase::Depart,
@@ -78,9 +74,7 @@ impl Phase {
             Phase::Gather => "gather",
             Phase::Split => "split",
             Phase::Resolve => "resolve",
-            Phase::Observe => "observe",
-            Phase::Wake => "wake",
-            Phase::Sched => "sched",
+            Phase::Listeners => "listeners",
             Phase::Senders => "senders",
             Phase::Scatter => "scatter",
             Phase::Depart => "depart",
@@ -131,9 +125,9 @@ pub struct EngineSample {
     /// protocol-state lane, whose size is the protocol's (0 where not
     /// tracked).
     pub state_bytes: u64,
-    /// Per-slot buffers in bytes: the participant, sender and listener
-    /// lists, their position vectors, the wake buffer, the stage plan and
-    /// the staged state scratch, all kept from slot to slot (0 where not
+    /// Per-slot buffers in bytes: the participant list, the split's
+    /// sender and listener cohorts and sender ids, the stage plan and the
+    /// staged state scratch, all kept from slot to slot (0 where not
     /// tracked). The engine's per-station overhead is `footprint_bytes +
     /// state_bytes + stage_bytes` over the backlog.
     pub stage_bytes: u64,

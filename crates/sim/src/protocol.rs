@@ -9,9 +9,10 @@
 //! engine: protocols whose state is frozen between channel accesses and
 //! whose next access time is samplable in closed form. Its defaulted
 //! [`next_wake4`](SparseProtocol::next_wake4) method is the batched wake
-//! draw: the sparse engine feeds same-slot listener cohorts through it
-//! four at a time, and the low-sensing protocols override it with a
-//! 4-wide geometric redraw that stays bit-identical to the scalar path.
+//! draw: the sparse engine feeds each slot's cohorts (its listeners and,
+//! after a failed slot, its senders) through it four at a time, and the
+//! low-sensing protocols override it with a 4-wide geometric redraw that
+//! stays bit-identical to the scalar path.
 
 use crate::feedback::{Intent, Observation};
 use crate::rng::SimRng;
@@ -21,8 +22,9 @@ use crate::rng::SimRng;
 ///
 /// Four `f64` lanes fill one AVX register (and two SSE2 registers), which
 /// is the widest batch the auto-vectorizer reliably profits from without
-/// `std::simd`; the sparse engine chunks listener cohorts at this width
-/// and draws the remainder through the scalar [`Protocol::next_wake`].
+/// `std::simd`; the sparse engine chunks its listener and losing-sender
+/// cohorts at this width and draws the remainder through the scalar
+/// [`Protocol::next_wake`].
 pub const BATCH_LANES: usize = 4;
 
 /// Per-packet contention-resolution state machine.
@@ -90,8 +92,9 @@ pub trait SparseProtocol: Protocol {
 
     /// Samples four packets' next-wake delays at once.
     ///
-    /// The batched half of the sparse engine's *wake pass*, which feeds
-    /// each slot's listeners through it four at a time. It consumes
+    /// The batched draw of the sparse engine's *cohort sweep*, which feeds
+    /// each slot's listeners, and the senders of a slot that did not
+    /// succeed, through it four at a time. It consumes
     /// randomness, so the contract pins the order: RNG values must be
     /// drawn **in ascending lane order** (lane 0 first; the engine fills
     /// lanes in cohort order, i.e. the slot's insertion order), with each
@@ -103,8 +106,11 @@ pub trait SparseProtocol: Protocol {
     /// exact equality. Overrides draw the lanes' uniforms sequentially and
     /// then evaluate the logarithms 4-wide (see
     /// [`geometric4_inv`](crate::dist::geometric4_inv)); the default falls
-    /// back to the scalar method per lane. Only protocols that can listen
-    /// (`send_on_access` sometimes `false`) ever reach it.
+    /// back to the scalar method per lane, which is bit-identical by
+    /// definition. Protocols that listen reach it through their listener
+    /// cohorts; always-send protocols (the BEB family, ALOHA, polynomial
+    /// backoff) reach it through their losing senders, and the default
+    /// serves them without an override.
     fn next_wake4(
         states: &mut [&mut Self; BATCH_LANES],
         rng: &mut SimRng,

@@ -433,6 +433,83 @@ fn totals_only_bit_identical() {
     );
 }
 
+/// Per event slot, in slot order: how many senders `on_slot` reported,
+/// how many of them lost, and how many observations the slot delivered.
+#[derive(Default)]
+struct CohortSizes(Vec<(u32, u32, u32)>);
+
+impl Hooks<LowSensing> for CohortSizes {
+    fn on_slot(&mut self, _t: Slot, outcome: &SlotOutcome) {
+        let (senders, losers) = match *outcome {
+            SlotOutcome::Success { .. } => (1, 0),
+            SlotOutcome::Collision { senders } | SlotOutcome::Jammed { senders } => {
+                (senders, senders)
+            }
+            _ => (0, 0),
+        };
+        self.0.push((senders, losers, 0));
+    }
+
+    fn on_observe(&mut self, _t: Slot, _id: PacketId, _b: &LowSensing, _a: &LowSensing) {
+        self.0.last_mut().expect("observe follows its slot").2 += 1;
+    }
+}
+
+/// The cohort sweep handles each cohort in quads plus a scalar remainder,
+/// so every cohort size around the quad boundary must keep the three
+/// engines bit-identical: listener cohorts of 0–9 and losing-sender
+/// cohorts of 1–9 (a jammed lone sender loses too). Small LSB batches from
+/// a small window, under random jamming and all three channel models,
+/// with per-packet metrics and series on; a hooked wheel run over the
+/// same runs checks that every size occurred, so the suite cannot
+/// silently stop reaching the remainder. The 40-station batch is there
+/// for the 8- and 9-sender collisions, which a dozen stations rarely
+/// produce.
+#[test]
+fn cohorts_of_every_size_three_way_bit_identical() {
+    let factory = |_: &mut SimRng| LowSensing::with_window(Params::default(), 8.0);
+    let mut listener_sizes = [0u32; 10];
+    let mut loser_sizes = [0u32; 10];
+    for model in [
+        ChannelModel::Ternary,
+        ChannelModel::NoCollisionDetection,
+        ChannelModel::CostlyCollisions { alpha: 0.5 },
+    ] {
+        for (n, seed) in [(6, 1), (14, 2), (24, 3), (40, 4)] {
+            // Horizon-capped: no-CD LSB livelocks instead of draining.
+            let s = scenarios::random_jam_batch(n, 0.1)
+                .seeded(seed)
+                .model(model)
+                .series(1.3)
+                .until_slot(3_000);
+            let what = format!("{} under {}", s.name(), model.label());
+            assert_three_way(&s, factory, &what);
+            let mut sizes = CohortSizes::default();
+            s.run_sparse_hooked(factory, &mut sizes);
+            for (senders, losers, observes) in sizes.0 {
+                if observes == 0 {
+                    continue; // an arrival-only slot has no cohorts
+                }
+                if let Some(c) = listener_sizes.get_mut((observes - senders) as usize) {
+                    *c += 1;
+                }
+                if let Some(c) = loser_sizes.get_mut(losers as usize) {
+                    *c += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        listener_sizes.iter().all(|&count| count > 0),
+        "listener cohorts by size 0..=9: {listener_sizes:?}"
+    );
+    assert!(
+        loser_sizes[1..].iter().all(|&count| count > 0),
+        "losing-sender cohorts by size 1..=9: {:?}",
+        &loser_sizes[1..]
+    );
+}
+
 /// Stations in the staged scenarios: 300k 16-byte `LowSensing` states are
 /// a 4.8 MB lane, ~15% past the 4 MiB staging gate.
 const STAGED_STATIONS: u64 = 300_000;
