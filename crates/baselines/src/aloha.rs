@@ -100,10 +100,9 @@ mod tests {
         let half = r
             .series
             .iter()
-            .find(|s| s.arrivals - s.backlog >= n / 2)
+            .find(|s| s.totals.successes >= n / 2)
             .expect("series covers the run");
-        let delivered = half.arrivals - half.backlog;
-        let rate = delivered as f64 / half.active_slots as f64;
+        let rate = half.totals.clean_throughput();
         assert!(
             (rate - 1.0 / std::f64::consts::E).abs() < 0.08,
             "early success rate {rate}"

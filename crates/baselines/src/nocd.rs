@@ -38,10 +38,7 @@ use lowsense_sim::rng::SimRng;
 ///
 /// let result = run_sparse(
 ///     &SimConfig::new(1)
-///         .limits(Limits {
-///             max_slot: 2_000_000,
-///             max_steps: u64::MAX,
-///         })
+///         .until_slot(2_000_000)
 ///         .model(ChannelModel::NoCollisionDetection),
 ///     Batch::new(48),
 ///     NoJam,
@@ -151,7 +148,7 @@ impl SparseProtocol for NoCdBackoff {
 mod tests {
     use super::*;
     use lowsense_sim::arrivals::Batch;
-    use lowsense_sim::config::{Limits, SimConfig};
+    use lowsense_sim::config::SimConfig;
     use lowsense_sim::engine::run_sparse;
     use lowsense_sim::feedback::ChannelModel;
     use lowsense_sim::hooks::NoHooks;
@@ -223,10 +220,7 @@ mod tests {
     #[test]
     fn drains_a_batch_on_the_no_cd_channel() {
         let cfg = SimConfig::new(7)
-            .limits(Limits {
-                max_slot: 2_000_000,
-                max_steps: u64::MAX,
-            })
+            .until_slot(2_000_000)
             .model(ChannelModel::NoCollisionDetection);
         let r = run_sparse(
             &cfg,
@@ -243,10 +237,7 @@ mod tests {
     fn also_runs_on_the_ternary_channel() {
         // The protocol reads nothing ternary-specific, so the default
         // channel must work too (it just carries unused information).
-        let cfg = SimConfig::new(8).limits(Limits {
-            max_slot: 2_000_000,
-            max_steps: u64::MAX,
-        });
+        let cfg = SimConfig::new(8).until_slot(2_000_000);
         let r = run_sparse(
             &cfg,
             Batch::new(64),

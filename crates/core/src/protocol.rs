@@ -448,16 +448,13 @@ mod tests {
         // engines cap the horizon and the accounting stays partitioned —
         // even though draining is not guaranteed there.
         use lowsense_sim::arrivals::Batch;
-        use lowsense_sim::config::{Limits, SimConfig};
+        use lowsense_sim::config::SimConfig;
         use lowsense_sim::engine::run_sparse;
         use lowsense_sim::feedback::ChannelModel;
         use lowsense_sim::hooks::NoHooks;
         use lowsense_sim::jamming::NoJam;
         let cfg = SimConfig::new(21)
-            .limits(Limits {
-                max_slot: 20_000,
-                max_steps: u64::MAX,
-            })
+            .until_slot(20_000)
             .model(ChannelModel::NoCollisionDetection);
         let r = run_sparse(&cfg, Batch::new(48), NoJam, |_| fresh(), &mut NoHooks);
         let t = &r.totals;

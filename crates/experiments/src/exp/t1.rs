@@ -29,8 +29,8 @@ const SERIES: f64 = 1.6;
 fn implicit_floor(r: &RunResult) -> f64 {
     let mut min = r.totals.implicit_throughput();
     for p in &r.series {
-        if p.active_slots >= 8 {
-            min = min.min(p.implicit_throughput());
+        if p.totals.active_slots >= 8 {
+            min = min.min(p.totals.implicit_throughput());
         }
     }
     min

@@ -118,6 +118,7 @@ impl FlightRecorder {
             self.stalls.len(),
         );
         for s in &self.ring {
+            let t = &s.totals;
             let _ = writeln!(
                 out,
                 "{{\"t\":\"sample\",\"slot\":{},\"event_slots\":{},\"backlog\":{},\
@@ -125,23 +126,24 @@ impl FlightRecorder {
                  \"empty_active\":{},\"collision_slots\":{},\"jammed_active\":{},\
                  \"sends\":{},\"listens\":{},\"overhead_slots\":{},\
                  \"contention\":{},\"implicit_throughput\":{},\
-                 \"footprint_bytes\":{},\"state_bytes\":{}}}",
+                 \"footprint_bytes\":{},\"state_bytes\":{},\"stage_bytes\":{}}}",
                 s.slot,
                 s.event_slots,
                 s.backlog,
-                s.arrivals,
-                s.successes,
-                s.active_slots,
-                s.empty_active,
-                s.collision_slots,
-                s.jammed_active,
-                s.sends,
-                s.listens,
-                s.overhead_slots,
+                t.arrivals,
+                t.successes,
+                t.active_slots,
+                t.empty_active,
+                t.collision_slots,
+                t.jammed_active,
+                t.sends,
+                t.listens,
+                t.overhead_slots,
                 num(s.contention),
-                num(s.implicit_throughput()),
+                num(t.implicit_throughput()),
                 s.footprint_bytes,
                 s.state_bytes,
+                s.stage_bytes,
             );
         }
         for ev in &self.stalls {
@@ -160,12 +162,14 @@ impl FlightRecorder {
         out.add("flight.dropped", self.dropped);
         out.add("flight.stalls", self.stalls.len() as u64);
         if let Some(s) = self.last() {
+            let t = &s.totals;
             out.set("flight.last.backlog", s.backlog as f64);
             out.set("flight.last.contention", s.contention);
-            out.set("flight.last.implicit_throughput", s.implicit_throughput());
+            out.set("flight.last.implicit_throughput", t.implicit_throughput());
             out.set("flight.last.footprint_bytes", s.footprint_bytes as f64);
             out.set("flight.last.state_bytes", s.state_bytes as f64);
-            out.set("flight.last.overhead_slots", s.overhead_slots as f64);
+            out.set("flight.last.stage_bytes", s.stage_bytes as f64);
+            out.set("flight.last.overhead_slots", t.overhead_slots as f64);
         }
     }
 }
@@ -198,25 +202,24 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::stall::StallConfig;
+    use lowsense_sim::metrics::Totals;
 
     fn sample(event_slots: u64) -> EngineSample {
         EngineSample {
             slot: event_slots,
             event_slots,
             backlog: 4,
-            arrivals: 4,
-            successes: 0,
-            active_slots: event_slots,
-            empty_active: 0,
-            collision_slots: event_slots,
-            jammed_active: 0,
-            sends: 2 * event_slots,
-            listens: 0,
-            overhead_slots: 0,
             contention: 2.0,
+            totals: Totals {
+                arrivals: 4,
+                active_slots: event_slots,
+                collision_slots: event_slots,
+                sends: 2 * event_slots,
+                ..Totals::default()
+            },
             footprint_bytes: 1024,
             state_bytes: 512,
-            stage_bytes: 0,
+            stage_bytes: 256,
         }
     }
 
@@ -265,13 +268,14 @@ mod tests {
         assert!(header.contains("\"context\":\"ctx\\\"quoted\""));
         assert!(header.contains("\"samples\":2"));
         assert!(header.contains("\"stalls\":1"));
-        assert_eq!(
-            lines
-                .clone()
-                .filter(|l| l.contains("\"t\":\"sample\""))
-                .count(),
-            2
-        );
+        let samples: Vec<&str> = lines
+            .clone()
+            .filter(|l| l.contains("\"t\":\"sample\""))
+            .collect();
+        assert_eq!(samples.len(), 2);
+        // Every sample carries all three engine byte terms, `stage_bytes` last.
+        let bytes = "\"footprint_bytes\":1024,\"state_bytes\":512,\"stage_bytes\":256}";
+        assert!(samples.iter().all(|l| l.ends_with(bytes)));
         let stall_line = lines.find(|l| l.contains("\"t\":\"stall\"")).unwrap();
         assert!(stall_line.contains("collision-dominated"));
     }
@@ -285,6 +289,8 @@ mod tests {
         assert_eq!(reg.counter("flight.samples"), 1);
         assert_eq!(reg.gauge("flight.last.backlog"), Some(4.0));
         assert_eq!(reg.gauge("flight.last.footprint_bytes"), Some(1024.0));
+        assert_eq!(reg.gauge("flight.last.state_bytes"), Some(512.0));
+        assert_eq!(reg.gauge("flight.last.stage_bytes"), Some(256.0));
         // The no-op sink stays a no-op.
         let mut off = crate::NoTelemetry;
         rec.publish(&mut off);

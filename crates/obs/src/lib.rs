@@ -19,11 +19,12 @@
 //!   nothing, so the off-path costs literally zero instructions.
 //! * [`FlightRecorder`] — a [`Hooks`](lowsense_sim::hooks::Hooks)
 //!   implementation that asks the sparse engine for a periodic
-//!   [`EngineSample`](lowsense_sim::hooks::EngineSample) (backlog, the
-//!   active-slot partition, send/listen energy, contention,
-//!   `overhead_slots`, wake-structure and packet-table bookkeeping
-//!   footprints), keeps the last `capacity` of them in a bounded ring, and
-//!   exports the lot as schema-versioned JSONL.
+//!   [`EngineSample`](lowsense_sim::hooks::EngineSample) (backlog,
+//!   contention, the run's [`Totals`](lowsense_sim::metrics::Totals) —
+//!   the active-slot partition, send/listen energy, `overhead_slots` — and
+//!   the wake-structure, packet-table and per-slot buffer footprints),
+//!   keeps the last `capacity` of them in a bounded ring, and exports the
+//!   lot as schema-versioned JSONL.
 //! * [`StallDetector`] — watches the sample stream for "backlog
 //!   non-decreasing while collision-or-silence slots dominate for a whole
 //!   window" and renders a diagnosis. This is what turns the

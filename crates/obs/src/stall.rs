@@ -185,10 +185,11 @@ impl StallDetector {
         if span < self.cfg.window {
             return None;
         }
-        let active = s.active_slots.saturating_sub(anchor.active_slots);
-        let collisions = s.collision_slots.saturating_sub(anchor.collision_slots);
-        let empty = s.empty_active.saturating_sub(anchor.empty_active);
-        let successes = s.successes.saturating_sub(anchor.successes);
+        let (now, then) = (&s.totals, &anchor.totals);
+        let active = now.active_slots.saturating_sub(then.active_slots);
+        let collisions = now.collision_slots.saturating_sub(then.collision_slots);
+        let empty = now.empty_active.saturating_sub(then.empty_active);
+        let successes = now.successes.saturating_sub(then.successes);
         // The stretch is re-anchored either way: if it was healthy, the
         // window simply slides; if it fired, the next window accumulates
         // fresh evidence.
@@ -225,25 +226,20 @@ impl StallDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowsense_sim::metrics::Totals;
 
     fn sample(event_slots: u64, backlog: u64) -> EngineSample {
         EngineSample {
             slot: event_slots,
             event_slots,
             backlog,
-            arrivals: backlog,
-            successes: 0,
-            active_slots: event_slots,
-            empty_active: 0,
-            collision_slots: 0,
-            jammed_active: 0,
-            sends: 0,
-            listens: 0,
-            overhead_slots: 0,
             contention: 1.0,
-            footprint_bytes: 0,
-            state_bytes: 0,
-            stage_bytes: 0,
+            totals: Totals {
+                arrivals: backlog,
+                active_slots: event_slots,
+                ..Totals::default()
+            },
+            ..EngineSample::default()
         }
     }
 
@@ -260,8 +256,8 @@ mod tests {
         let mut a = sample(0, 8);
         assert!(d.feed(&a).is_none(), "first sample only anchors");
         a.event_slots = 12;
-        a.active_slots = 12;
-        a.collision_slots = 12;
+        a.totals.active_slots = 12;
+        a.totals.collision_slots = 12;
         a.slot = 12;
         let ev = d.feed(&a).expect("window spanned with zero progress");
         assert_eq!(ev.kind, StallKind::CollisionDominated);
@@ -278,9 +274,9 @@ mod tests {
         let mut d = det(10);
         d.feed(&sample(0, 8));
         let mut s = sample(20, 8);
-        s.active_slots = 20;
-        s.empty_active = 19;
-        s.successes = 1;
+        s.totals.active_slots = 20;
+        s.totals.empty_active = 19;
+        s.totals.successes = 1;
         let ev = d.feed(&s).expect("95% empty > 90% dominance");
         assert_eq!(ev.kind, StallKind::SilenceDominated);
         assert!(ev.diagnosis().contains("over-backoff"));
@@ -292,13 +288,13 @@ mod tests {
         d.feed(&sample(0, 8));
         // Backlog drops: anchor moves, no event even after a long span.
         let mut s = sample(50, 7);
-        s.active_slots = 50;
-        s.collision_slots = 50;
+        s.totals.active_slots = 50;
+        s.totals.collision_slots = 50;
         assert!(d.feed(&s).is_none(), "progress re-anchors");
         // From the new anchor, a fresh collision stretch fires again.
         let mut s2 = sample(65, 7);
-        s2.active_slots = 65;
-        s2.collision_slots = 65;
+        s2.totals.active_slots = 65;
+        s2.totals.collision_slots = 65;
         assert!(d.feed(&s2).is_some());
     }
 
@@ -308,9 +304,9 @@ mod tests {
         d.feed(&sample(0, 8));
         // Half the stretch succeeds: wasted share 0.5 < 0.9 dominance.
         let mut s = sample(30, 8);
-        s.active_slots = 30;
-        s.collision_slots = 15;
-        s.successes = 15;
+        s.totals.active_slots = 30;
+        s.totals.collision_slots = 15;
+        s.totals.successes = 15;
         assert!(d.feed(&s).is_none());
     }
 
@@ -319,8 +315,8 @@ mod tests {
         let mut d = det(4);
         d.feed(&sample(0, 3));
         let mut s = sample(8, 3);
-        s.active_slots = 8;
-        s.collision_slots = 8;
+        s.totals.active_slots = 8;
+        s.totals.collision_slots = 8;
         let ev = d.feed(&s).unwrap();
         let json = ev.to_json();
         assert!(json.starts_with("{\"t\":\"stall\""));

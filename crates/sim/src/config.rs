@@ -1,4 +1,6 @@
-//! Run configuration shared by all engines.
+//! Run configuration shared by all engines: the seed, what to record, the
+//! slot horizon (a run's one stop rule besides draining) and the channel
+//! model.
 
 use crate::arrivals::ArrivalProcess;
 use crate::feedback::ChannelModel;
@@ -7,40 +9,6 @@ use crate::rng::SimRng;
 use crate::time::Slot;
 use crate::view::SystemView;
 
-/// Safety limits for a run.
-///
-/// Runs normally end when every injected packet has been delivered and the
-/// arrival process is exhausted; the limits below bound runaway executions
-/// (infinite streams, degenerate protocols).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Limits {
-    /// Hard cap on the slot clock; the run stops before processing any slot
-    /// beyond it.
-    pub max_slot: Slot,
-    /// Hard cap on resolved event slots (sparse engine) or simulated slots
-    /// (dense engines).
-    pub max_steps: u64,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_slot: u64::MAX / 2,
-            max_steps: u64::MAX,
-        }
-    }
-}
-
-impl Limits {
-    /// Limits that stop the clock after `max_slot`.
-    pub fn until_slot(max_slot: Slot) -> Self {
-        Limits {
-            max_slot,
-            ..Limits::default()
-        }
-    }
-}
-
 /// Configuration for one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -48,8 +16,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// What to record.
     pub metrics: MetricsConfig,
-    /// Safety limits.
-    pub limits: Limits,
+    /// The slot horizon: the run stops before processing any slot beyond
+    /// it. A run otherwise ends when every injected packet has been
+    /// delivered and the arrival process is exhausted; the horizon cuts
+    /// infinite streams and runs that never drain (a livelocked protocol).
+    pub max_slot: Slot,
     /// Channel model the run resolves slots through. Every engine entry
     /// point dispatches on it once per run, outside the slot loop.
     pub model: ChannelModel,
@@ -61,7 +32,7 @@ impl SimConfig {
         SimConfig {
             seed,
             metrics: MetricsConfig::default(),
-            limits: Limits::default(),
+            max_slot: u64::MAX / 2,
             model: ChannelModel::Ternary,
         }
     }
@@ -72,9 +43,9 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the limits.
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
+    /// Stops the slot clock after `max_slot`.
+    pub fn until_slot(mut self, max_slot: Slot) -> Self {
+        self.max_slot = max_slot;
         self
     }
 
@@ -206,10 +177,10 @@ mod tests {
         assert_eq!(SimConfig::new(7).model, ChannelModel::Ternary);
         let cfg = SimConfig::new(7)
             .metrics(MetricsConfig::totals_only())
-            .limits(Limits::until_slot(100))
+            .until_slot(100)
             .model(ChannelModel::NoCollisionDetection);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.limits.max_slot, 100);
+        assert_eq!(cfg.max_slot, 100);
         assert!(!cfg.metrics.per_packet);
         assert_eq!(cfg.model, ChannelModel::NoCollisionDetection);
     }

@@ -2,13 +2,13 @@
 //!
 //! Every engine — dense, sparse, grouped — is a *stepping strategy* over
 //! one [`EngineCore`]: the core owns the run's RNG, the arrival cursor, the
-//! jammer (adaptive + reactive decision order), slot resolution, metrics,
-//! and safety limits, while the strategy owns only its per-packet
-//! bookkeeping (an epoch-compacted packet table plus a calendar wake
-//! queue, an access heap, or cohort groups) and the order in which slots
-//! are visited. This is what keeps the three engines
-//! semantically interchangeable: the plumbing they share is shared code,
-//! not triplicated code.
+//! jammer (adaptive + reactive decision order), slot resolution and
+//! metrics, while the strategy owns only its per-packet bookkeeping (an
+//! epoch-compacted packet table plus a calendar wake queue, an access
+//! heap, or cohort groups) and the order in which slots are visited, up to
+//! the run's slot horizon ([`SimConfig::max_slot`]). This is what keeps
+//! the three engines semantically interchangeable: the plumbing they share
+//! is shared code, not triplicated code.
 //!
 //! The adversary contract lives here too: arrival processes and jammers are
 //! always consulted with a [`SystemView`] of the system as of the end of
@@ -20,7 +20,7 @@
 //!
 //! The core is generic over a [`FeedbackModel`]. Models may charge extra
 //! *physical* slots for an outcome (costly collisions); the core keeps all
-//! scheduling — wake slots, arrivals, jammer decisions, limits — in
+//! scheduling — wake slots, arrivals, jammer decisions, the horizon — in
 //! **logical** time and accumulates the model's overhead as a clock
 //! `skew`, applied only when recording into metrics. This keeps every
 //! stepping strategy's event order identical across models (the sparse
@@ -30,7 +30,7 @@
 //! to the pre-model machine code.
 
 use crate::arrivals::ArrivalProcess;
-use crate::config::{ArrivalCursor, Limits, SimConfig};
+use crate::config::{ArrivalCursor, SimConfig};
 use crate::feedback::{resolve_slot, FeedbackModel, SlotOutcome, Ternary};
 use crate::jamming::Jammer;
 use crate::metrics::{Metrics, RunResult};
@@ -54,8 +54,6 @@ pub(crate) struct EngineCore<A, J, M = Ternary> {
     /// it directly.
     pub metrics: Metrics,
     seed: u64,
-    limits: Limits,
-    steps: u64,
     cursor: ArrivalCursor<A>,
     jammer: J,
     model: M,
@@ -70,37 +68,11 @@ impl<A: ArrivalProcess, J: Jammer, M: FeedbackModel> EngineCore<A, J, M> {
             rng: SimRng::new(cfg.seed),
             metrics: Metrics::new(cfg.metrics),
             seed: cfg.seed,
-            limits: cfg.limits,
-            steps: 0,
             cursor: ArrivalCursor::new(arrivals),
             jammer,
             model,
             skew: 0,
         }
-    }
-
-    /// The run's safety limits.
-    #[inline]
-    pub fn limits(&self) -> Limits {
-        self.limits
-    }
-
-    /// Whether slot `t` may still be processed (slot clock and step budget).
-    #[inline]
-    pub fn within_limits(&self, t: Slot) -> bool {
-        t <= self.limits.max_slot && self.steps < self.limits.max_steps
-    }
-
-    /// Whether the step budget alone is spent.
-    #[inline]
-    pub fn steps_exhausted(&self) -> bool {
-        self.steps >= self.limits.max_steps
-    }
-
-    /// Records one completed engine step (a resolved or simulated slot).
-    #[inline]
-    pub fn step_done(&mut self) {
-        self.steps += 1;
     }
 
     /// Peeks the next arrival event at slot ≥ `t` under the current system
@@ -244,24 +216,6 @@ mod tests {
     use super::*;
     use crate::arrivals::Batch;
     use crate::jamming::{NoJam, PeriodicBurst, ReactiveAny};
-
-    #[test]
-    fn limits_gate_slot_clock_and_steps() {
-        let cfg = SimConfig::new(1).limits(Limits {
-            max_slot: 10,
-            max_steps: 3,
-        });
-        let mut core = EngineCore::with_model(&cfg, Batch::new(1), NoJam, Ternary);
-        assert!(core.within_limits(0));
-        assert!(core.within_limits(10));
-        assert!(!core.within_limits(11));
-        for _ in 0..3 {
-            assert!(!core.steps_exhausted());
-            core.step_done();
-        }
-        assert!(core.steps_exhausted());
-        assert!(!core.within_limits(0));
-    }
 
     #[test]
     fn arrival_cursor_consumption_via_core() {

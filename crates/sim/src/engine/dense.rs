@@ -27,8 +27,8 @@ use crate::time::Slot;
 /// [`cfg.model`](SimConfig::model).
 ///
 /// `factory` creates the protocol state for each injected packet. The run
-/// ends when the arrival process is exhausted and no packet remains, or when
-/// a [limit](crate::config::Limits) trips.
+/// ends when the arrival process is exhausted and no packet remains, or
+/// after the slot horizon [`cfg.max_slot`](SimConfig::max_slot).
 ///
 /// # Examples
 ///
@@ -105,10 +105,7 @@ where
 
     let mut t: Slot = 0;
 
-    loop {
-        if !core.within_limits(t) {
-            break;
-        }
+    while t <= cfg.max_slot {
         // Peek the next arrival with the pre-slot view.
         let next_arrival = core.peek_arrival(t, active.len() as u64, contention);
         if active.is_empty() {
@@ -202,7 +199,6 @@ where
 
         core.checkpoint(t, active.len() as u64, contention);
         t += 1;
-        core.step_done();
     }
 
     core.finish()
@@ -212,13 +208,12 @@ where
 mod tests {
     use super::*;
     use crate::arrivals::{Batch, Trace};
-    use crate::config::Limits;
     use crate::hooks::NoHooks;
     use crate::jamming::{NoJam, PeriodicBurst, RandomJam};
     use crate::metrics::MetricsConfig;
 
     /// Always-send protocol: a batch of one succeeds instantly; more than
-    /// one livelocks (bounded by limits).
+    /// one livelocks (bounded by the horizon).
     #[derive(Clone)]
     struct Greedy;
     impl Protocol for Greedy {
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn two_greedy_packets_livelock_until_limit() {
-        let cfg = SimConfig::new(1).limits(Limits::until_slot(99));
+        let cfg = SimConfig::new(1).until_slot(99);
         let r = run_dense(&cfg, Batch::new(2), NoJam, |_| Greedy, &mut NoHooks);
         assert_eq!(r.totals.successes, 0);
         assert_eq!(r.totals.collision_slots, 100);
@@ -310,7 +305,7 @@ mod tests {
     #[test]
     fn jammed_slots_block_success_and_are_counted() {
         // Jam every slot: the greedy singleton can never succeed.
-        let cfg = SimConfig::new(4).limits(Limits::until_slot(49));
+        let cfg = SimConfig::new(4).until_slot(49);
         let r = run_dense(
             &cfg,
             Batch::new(1),
@@ -324,7 +319,7 @@ mod tests {
 
     #[test]
     fn random_jam_rate_reflected_in_totals() {
-        let cfg = SimConfig::new(5).limits(Limits::until_slot(20_000));
+        let cfg = SimConfig::new(5).until_slot(20_000);
         let r = run_dense(
             &cfg,
             Batch::new(2),
@@ -361,7 +356,7 @@ mod tests {
         // Implicit throughput at the end equals overall throughput (drained).
         assert!(r.drained());
         let last = r.series.last().unwrap();
-        assert!(last.active_slots <= r.totals.active_slots);
+        assert!(last.totals.active_slots <= r.totals.active_slots);
         // Backlog is monotonically drained for a batch workload.
         let first = r.series.first().unwrap();
         assert!(first.backlog >= last.backlog);

@@ -90,10 +90,7 @@ where
     let mut senders: Vec<PacketId> = Vec::new();
     let mut t: Slot = 0;
 
-    loop {
-        if !core.within_limits(t) {
-            break;
-        }
+    while t <= cfg.max_slot {
         let backlog: u64 = groups.iter().map(|g| g.members.len() as u64).sum();
         let contention: f64 = groups
             .iter()
@@ -194,7 +191,6 @@ where
             .sum();
         core.checkpoint(t, backlog_after, contention_after);
         t += 1;
-        core.step_done();
     }
 
     // Packets still alive at stop: reconcile their listens up to last_slot.
@@ -215,7 +211,6 @@ where
 mod tests {
     use super::*;
     use crate::arrivals::{Batch, Trace};
-    use crate::config::Limits;
     use crate::jamming::{NoJam, PeriodicBurst};
 
     /// Fixed-probability symmetric protocol (slotted-ALOHA-like).
@@ -308,7 +303,7 @@ mod tests {
 
     #[test]
     fn jamming_blocks_success() {
-        let cfg = SimConfig::new(6).limits(Limits::until_slot(99));
+        let cfg = SimConfig::new(6).until_slot(99);
         let r = run_grouped(
             &cfg,
             Batch::new(5),
@@ -321,7 +316,7 @@ mod tests {
 
     #[test]
     fn live_packets_get_listen_reconciliation_at_stop() {
-        let cfg = SimConfig::new(7).limits(Limits::until_slot(49));
+        let cfg = SimConfig::new(7).until_slot(49);
         let r = run_grouped(&cfg, Batch::new(3), NoJam, |_| FixedSym(0.0));
         let ps = r.per_packet.as_ref().unwrap();
         for p in ps {

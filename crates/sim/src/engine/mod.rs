@@ -3,9 +3,10 @@
 //! Three engines share one semantics (the model of paper §1.1) and one
 //! substrate: every engine is a *stepping strategy* over the shared
 //! crate-private `EngineCore` (`engine/core.rs`), which owns the RNG,
-//! arrival cursor, jamming decision order, slot resolution, metrics, and
-//! limits. The strategies differ only in their per-packet bookkeeping and
-//! slot visit order:
+//! arrival cursor, jamming decision order, slot resolution and metrics.
+//! The strategies differ only in their per-packet bookkeeping and slot
+//! visit order, and every one stops when the run drains or passes the slot
+//! horizon [`SimConfig::max_slot`](crate::config::SimConfig::max_slot):
 //!
 //! * [`dense`] — slot-by-slot reference engine, `O(packets)` per slot. The
 //!   oracle the others are validated against.
@@ -37,7 +38,7 @@
 //!
 //! Most code should not call the `run_*` entry points directly but go
 //! through the [scenario layer](crate::scenario), which composes arrivals,
-//! jamming, limits, metrics, and the channel model into named, reusable
+//! jamming, the horizon, metrics, and the channel model into named, reusable
 //! run descriptions.
 //!
 //! [`SparseProtocol`]: crate::protocol::SparseProtocol

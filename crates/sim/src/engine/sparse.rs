@@ -524,16 +524,8 @@ where
             slot: te,
             event_slots,
             backlog,
-            arrivals: totals.arrivals,
-            successes: totals.successes,
-            active_slots: totals.active_slots,
-            empty_active: totals.empty_active,
-            collision_slots: totals.collision_slots,
-            jammed_active: totals.jammed_active,
-            sends: totals.sends,
-            listens: totals.listens,
-            overhead_slots: totals.overhead_slots,
             contention,
+            totals: *totals,
             footprint_bytes: queue.footprint_bytes() as u64,
             state_bytes: packets.lane_bytes() as u64,
             stage_bytes: bufs.bytes() as u64,
@@ -555,9 +547,6 @@ where
     }
 
     loop {
-        if core.steps_exhausted() {
-            break;
-        }
         let next_access: Option<Slot> = queue.next_slot();
         let next_arrival: Option<Slot> = core
             .peek_arrival(now, active_count, contention)
@@ -568,7 +557,7 @@ where
                 // degenerate protocol that never accesses), the rest of the
                 // horizon is provably silent: account it in bulk, then stop.
                 if active_count > 0 {
-                    let end = offset(core.limits().max_slot, 1);
+                    let end = offset(cfg.max_slot, 1);
                     if end > now {
                         gap(&mut core, hooks, now, end, active_count, contention);
                     }
@@ -577,9 +566,9 @@ where
             }
             (a, b) => a.unwrap_or(Slot::MAX).min(b.unwrap_or(Slot::MAX)),
         };
-        if te > core.limits().max_slot {
-            // Account the remaining gap up to the limit, then stop.
-            let end = offset(core.limits().max_slot, 1);
+        if te > cfg.max_slot {
+            // Account the remaining gap up to the horizon, then stop.
+            let end = offset(cfg.max_slot, 1);
             if end > now {
                 gap(&mut core, hooks, now, end, active_count, contention);
             }
@@ -660,7 +649,6 @@ where
                 }
             }
             now = te + 1;
-            core.step_done();
             hooks.on_phase(Phase::Resolve);
             continue;
         }
@@ -781,7 +769,6 @@ where
             }
         }
         now = te + 1;
-        core.step_done();
         hooks.on_phase(Phase::Depart);
     }
 
@@ -792,7 +779,6 @@ where
 mod tests {
     use super::*;
     use crate::arrivals::{Batch, Bernoulli, Trace};
-    use crate::config::Limits;
     use crate::dist::geometric;
     use crate::feedback::Intent;
     use crate::hooks::NoHooks;
@@ -864,7 +850,7 @@ mod tests {
 
     #[test]
     fn jam_counts_in_gaps_match_rate() {
-        let cfg = SimConfig::new(3).limits(Limits::until_slot(100_000));
+        let cfg = SimConfig::new(3).until_slot(100_000);
         let r = run_sparse(
             &cfg,
             Batch::new(1),
@@ -879,7 +865,7 @@ mod tests {
 
     #[test]
     fn deterministic_jammer_exact_in_gaps() {
-        let cfg = SimConfig::new(4).limits(Limits::until_slot(999));
+        let cfg = SimConfig::new(4).until_slot(999);
         let r = run_sparse(
             &cfg,
             Batch::new(1),
@@ -938,7 +924,7 @@ mod tests {
 
     #[test]
     fn max_slot_limit_stops_run() {
-        let cfg = SimConfig::new(8).limits(Limits::until_slot(500));
+        let cfg = SimConfig::new(8).until_slot(500);
         let r = run_sparse(&cfg, Batch::new(3), NoJam, |_| Fixed(1e-9), &mut NoHooks);
         assert_eq!(r.totals.successes, 0);
         assert_eq!(r.totals.active_slots, 501); // slots 0..=500
@@ -1062,7 +1048,7 @@ mod tests {
         }
         fn run<H: Hooks<Halving>>(n: u64, horizon: Slot, hooks: &mut H) -> RunResult {
             let cfg = SimConfig::new(13)
-                .limits(Limits::until_slot(horizon))
+                .until_slot(horizon)
                 .metrics(MetricsConfig::default().with_series(1.05));
             let factory = |_: &mut SimRng| Halving([0.2; 8]);
             run_sparse(&cfg, Batch::new(n), RandomJam::new(0.1), factory, hooks)
@@ -1126,7 +1112,7 @@ mod tests {
         }
         assert_eq!(std::mem::size_of::<Wide>(), 64);
         let mut peaks = Peaks::default();
-        let cfg = SimConfig::new(11).limits(Limits::until_slot(256));
+        let cfg = SimConfig::new(11).until_slot(256);
         run_sparse(
             &cfg,
             Batch::new(4096),
@@ -1194,7 +1180,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Burst>(), 64);
         assert!(staging_applies(N as usize, N as usize * 64));
         let mut sampled = StageBytes(Vec::new());
-        let cfg = SimConfig::new(12).limits(Limits::until_slot(2_000));
+        let cfg = SimConfig::new(12).until_slot(2_000);
         run_sparse(
             &cfg,
             Batch::new(N),
@@ -1240,7 +1226,7 @@ mod tests {
                 false
             }
         }
-        let cfg = SimConfig::new(10).limits(Limits::until_slot(999));
+        let cfg = SimConfig::new(10).until_slot(999);
         let r = run_sparse(&cfg, Batch::new(2), NoJam, |_| Mute, &mut NoHooks);
         assert_eq!(r.totals.successes, 0);
         assert_eq!(r.totals.active_slots, 1000);

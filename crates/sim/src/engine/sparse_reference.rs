@@ -116,9 +116,6 @@ where
     }
 
     loop {
-        if core.steps_exhausted() {
-            break;
-        }
         let next_access: Option<Slot> = heap.peek().map(|Reverse((s, _, _))| *s);
         let next_arrival: Option<Slot> = core
             .peek_arrival(now, active_count, contention)
@@ -129,7 +126,7 @@ where
                 // degenerate protocol that never accesses), the rest of the
                 // horizon is provably silent: account it in bulk, then stop.
                 if active_count > 0 {
-                    let end = offset(core.limits().max_slot, 1);
+                    let end = offset(cfg.max_slot, 1);
                     if end > now {
                         gap(&mut core, hooks, now, end, active_count, contention);
                     }
@@ -138,9 +135,9 @@ where
             }
             (a, b) => a.unwrap_or(Slot::MAX).min(b.unwrap_or(Slot::MAX)),
         };
-        if te > core.limits().max_slot {
-            // Account the remaining gap up to the limit, then stop.
-            let end = offset(core.limits().max_slot, 1);
+        if te > cfg.max_slot {
+            // Account the remaining gap up to the horizon, then stop.
+            let end = offset(cfg.max_slot, 1);
             if end > now {
                 gap(&mut core, hooks, now, end, active_count, contention);
             }
@@ -196,7 +193,6 @@ where
                 core.checkpoint(te, active_count, contention);
             }
             now = te + 1;
-            core.step_done();
             continue;
         }
 
@@ -262,7 +258,6 @@ where
 
         core.checkpoint(te, active_count, contention);
         now = te + 1;
-        core.step_done();
     }
 
     core.finish()

@@ -7,6 +7,7 @@
 //! invariants. [`NoHooks`] compiles to nothing.
 
 use crate::feedback::SlotOutcome;
+use crate::metrics::Totals;
 use crate::packet::PacketId;
 use crate::time::Slot;
 
@@ -86,11 +87,11 @@ impl Phase {
 /// [`Hooks::on_sample`] every [`Hooks::sample_period`] event slots.
 ///
 /// Every field is copied from accounting state the engine already
-/// maintains (`Totals`, the live backlog/contention registers, and the
+/// maintains ([`Totals`], the live backlog/contention registers, and the
 /// sparse-path memory footprints) *after* the slot resolved — taking a
 /// sample never touches RNG state, packet ordering, or f64 accumulation,
 /// so sampled and unsampled runs produce bit-identical `RunResult`s.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineSample {
     /// Wall-clock slot the sample was taken at (the slot just resolved).
     pub slot: Slot,
@@ -99,26 +100,10 @@ pub struct EngineSample {
     pub event_slots: u64,
     /// Packets currently in the system.
     pub backlog: u64,
-    /// Packets injected so far (`N_t`).
-    pub arrivals: u64,
-    /// Packets delivered so far (`T_t`).
-    pub successes: u64,
-    /// Active slots so far (`S_t`).
-    pub active_slots: u64,
-    /// Active slots with zero senders and no jam, so far.
-    pub empty_active: u64,
-    /// Active slots with ≥ 2 senders and no jam, so far.
-    pub collision_slots: u64,
-    /// Jammed active slots so far (`J_t`).
-    pub jammed_active: u64,
-    /// Total transmissions so far.
-    pub sends: u64,
-    /// Total pure listens so far.
-    pub listens: u64,
-    /// Extra physical slots charged by the feedback model so far.
-    pub overhead_slots: u64,
     /// Contention `C(t)` after the slot resolved.
     pub contention: f64,
+    /// The run's counters after the slot resolved.
+    pub totals: Totals,
     /// Wake-structure heap footprint in bytes (0 where not tracked).
     pub footprint_bytes: u64,
     /// Packet-table bookkeeping bytes: the id and remap lanes, *not* the
@@ -131,17 +116,6 @@ pub struct EngineSample {
     /// tracked). The engine's per-station overhead is `footprint_bytes +
     /// state_bytes + stage_bytes` over the backlog.
     pub stage_bytes: u64,
-}
-
-impl EngineSample {
-    /// Implicit throughput `(N_t + J_t) / S_t` at this sample (0/0 ⇒ 1).
-    pub fn implicit_throughput(&self) -> f64 {
-        if self.active_slots == 0 {
-            1.0
-        } else {
-            (self.arrivals + self.jammed_active) as f64 / self.active_slots as f64
-        }
-    }
 }
 
 /// Callbacks invoked by the engines as the run evolves.
@@ -379,27 +353,6 @@ mod tests {
         }
     }
 
-    fn zero_sample() -> EngineSample {
-        EngineSample {
-            slot: 0,
-            event_slots: 0,
-            backlog: 0,
-            arrivals: 0,
-            successes: 0,
-            active_slots: 0,
-            empty_active: 0,
-            collision_slots: 0,
-            jammed_active: 0,
-            sends: 0,
-            listens: 0,
-            overhead_slots: 0,
-            contention: 0.0,
-            footprint_bytes: 0,
-            state_bytes: 0,
-            stage_bytes: 0,
-        }
-    }
-
     /// Drives `hooks` the way the engine does: a sample at every multiple
     /// of the reported period over `event_slots` event slots.
     fn drive_samples(hooks: &mut impl Hooks<u8>, event_slots: u64) {
@@ -409,7 +362,7 @@ mod tests {
         for e in (period..=event_slots).step_by(period as usize) {
             hooks.on_sample(&EngineSample {
                 event_slots: e,
-                ..zero_sample()
+                ..EngineSample::default()
             });
         }
     }
@@ -428,15 +381,5 @@ mod tests {
         assert_eq!(Hooks::<u8>::sample_period(&one), Some(8));
         drive_samples(&mut one, 64);
         assert_eq!(one.1.samples, 8);
-    }
-
-    #[test]
-    fn sample_implicit_throughput_matches_totals_convention() {
-        let mut s = zero_sample();
-        assert_eq!(s.implicit_throughput(), 1.0, "0/0 => 1");
-        s.arrivals = 4;
-        s.jammed_active = 2;
-        s.active_slots = 12;
-        assert!((s.implicit_throughput() - 0.5).abs() < 1e-12);
     }
 }

@@ -93,7 +93,7 @@ pub mod prelude {
         AdversarialQueuing, ArrivalProcess, BacklogTriggered, Batch, Bernoulli, Placement,
         PoissonArrivals, Trace,
     };
-    pub use crate::config::{Limits, SimConfig};
+    pub use crate::config::SimConfig;
     pub use crate::engine::{
         run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference,
         SymmetricProtocol,

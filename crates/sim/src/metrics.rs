@@ -11,6 +11,10 @@
 //! Jammed slots during *inactive* periods are ignored — no algorithm is
 //! being measured there and the paper's metrics only ever divide by active
 //! slots.
+//!
+//! [`Totals`] is the one counter record and holds the one copy of each
+//! ratio: a [`RunResult`], each [`SeriesPoint`] and each engine sample
+//! ([`EngineSample`](crate::hooks::EngineSample)) carry it whole.
 
 use crate::feedback::SlotOutcome;
 use crate::packet::{PacketId, PacketStats};
@@ -91,35 +95,14 @@ impl Totals {
 pub struct SeriesPoint {
     /// Wall-clock slot of the sample.
     pub slot: Slot,
-    /// Active slots so far (the x-axis of the paper's implicit-throughput
-    /// statements: "at the t-th active slot").
-    pub active_slots: u64,
-    /// Arrivals so far.
-    pub arrivals: u64,
-    /// Jammed active slots so far.
-    pub jammed_active: u64,
     /// Packets in the system.
     pub backlog: u64,
-    /// Total sends so far.
-    pub sends: u64,
-    /// Total listens so far.
-    pub listens: u64,
-    /// Extra physical slots charged by the feedback model so far (costly-
-    /// collision clock dilation; 0 under ternary and no-CD channels).
-    pub overhead_slots: u64,
     /// Contention `C(t)` at the sample.
     pub contention: f64,
-}
-
-impl SeriesPoint {
-    /// Implicit throughput `(N_t + J_t) / S_t` at this sample.
-    pub fn implicit_throughput(&self) -> f64 {
-        if self.active_slots == 0 {
-            1.0
-        } else {
-            (self.arrivals + self.jammed_active) as f64 / self.active_slots as f64
-        }
-    }
+    /// The run's counters at the sample. `totals.active_slots` is the
+    /// x-axis of the paper's implicit-throughput statements ("at the t-th
+    /// active slot"), and `totals.implicit_throughput()` their y-axis.
+    pub totals: Totals,
 }
 
 /// What to record beyond totals.
@@ -289,14 +272,9 @@ impl Metrics {
         }
         self.series.push(SeriesPoint {
             slot,
-            active_slots: self.totals.active_slots,
-            arrivals: self.totals.arrivals,
-            jammed_active: self.totals.jammed_active,
             backlog,
-            sends: self.totals.sends,
-            listens: self.totals.listens,
-            overhead_slots: self.totals.overhead_slots,
             contention,
+            totals: self.totals,
         });
         let mut next = (self.next_checkpoint as f64 * factor) as u64;
         if next <= self.totals.active_slots {
@@ -469,7 +447,7 @@ mod tests {
             m.maybe_checkpoint(t, 1, 0.5);
         }
         let r = m.finish(0);
-        let xs: Vec<u64> = r.series.iter().map(|p| p.active_slots).collect();
+        let xs: Vec<u64> = r.series.iter().map(|p| p.totals.active_slots).collect();
         assert_eq!(xs, vec![1, 2, 4, 8, 16, 32, 64]);
         assert!(r.series.iter().all(|p| (p.contention - 0.5).abs() < 1e-12));
     }
@@ -483,7 +461,7 @@ mod tests {
         m.note_slot(1, &SlotOutcome::Empty);
         m.maybe_checkpoint(1, 3, 1.5);
         let r = m.finish(0);
-        let ov: Vec<u64> = r.series.iter().map(|p| p.overhead_slots).collect();
+        let ov: Vec<u64> = r.series.iter().map(|p| p.totals.overhead_slots).collect();
         assert_eq!(ov, vec![5, 5], "samples snapshot cumulative overhead");
     }
 

@@ -1,6 +1,6 @@
 //! Declarative scenario layer: named, reusable run descriptions.
 //!
-//! A [`Scenario`] composes **arrivals × jammer × limits × metrics × seed ×
+//! A [`Scenario`] composes **arrivals × jammer × horizon × metrics × seed ×
 //! channel model** into one value; the protocol joins at the final step,
 //! when a run method is called with a factory. Experiments, examples,
 //! tests, and benches all construct runs through this layer, so adding a
@@ -46,7 +46,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use crate::arrivals::ArrivalProcess;
-use crate::config::{Limits, SimConfig};
+use crate::config::SimConfig;
 use crate::engine::{
     run_dense, run_grouped, run_sparse, run_sparse_flat, run_sparse_reference, SymmetricProtocol,
 };
@@ -68,7 +68,7 @@ use crate::view::SystemView;
 pub struct NoArrivals;
 
 /// A named, reusable description of one simulation run: arrivals, jamming,
-/// and the run's [`SimConfig`] (seed, limits, metrics, channel model). See
+/// and the run's [`SimConfig`] (seed, horizon, metrics, channel model). See
 /// the [module docs](self) for an example.
 #[derive(Debug, Clone)]
 pub struct Scenario<A = NoArrivals, J = NoJam> {
@@ -81,7 +81,7 @@ pub struct Scenario<A = NoArrivals, J = NoJam> {
 impl Scenario<NoArrivals, NoJam> {
     /// Starts a scenario description: no workload yet (set one with
     /// [`Scenario::arrivals`] — the run methods only exist once it is set),
-    /// no jamming, seed 0, default limits and metrics.
+    /// no jamming, seed 0, the default horizon and metrics.
     pub fn named(name: impl Into<Cow<'static, str>>) -> Self {
         Scenario {
             name: name.into(),
@@ -136,17 +136,11 @@ impl<A, J> Scenario<A, J> {
         self
     }
 
-    /// Replaces the safety limits.
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.config = self.config.limits(limits);
+    /// Stops the slot clock after `max_slot` (see
+    /// [`SimConfig::until_slot`]).
+    pub fn until_slot(mut self, max_slot: Slot) -> Self {
+        self.config = self.config.until_slot(max_slot);
         self
-    }
-
-    /// Stops the slot clock after `max_slot` (shorthand for
-    /// [`Limits::until_slot`]).
-    pub fn until_slot(self, max_slot: Slot) -> Self {
-        let limits = Limits::until_slot(max_slot);
-        self.limits(limits)
     }
 
     /// Replaces the metrics configuration.
@@ -647,7 +641,7 @@ mod tests {
         assert_eq!(s.name(), "cfg");
         let cfg = s.sim_config();
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.limits.max_slot, 100);
+        assert_eq!(cfg.max_slot, 100);
         assert!(!cfg.metrics.per_packet);
     }
 
@@ -712,12 +706,12 @@ mod tests {
 
     #[test]
     fn every_engine_entry_runs_the_configured_model() {
-        // Two always-sending packets collide in every slot up to the limit.
+        // Two always-sending packets collide in every slot up to the horizon.
         // Under costly collisions each 2-way collision charges
         // ceil(0.5·2) = 1 extra physical slot: the logical trajectory is
         // unchanged, and the final slot is recorded at physical time
         // (logical 99 shifted by the 99 collisions resolved before it).
-        let ternary = SimConfig::new(1).limits(Limits::until_slot(99));
+        let ternary = SimConfig::new(1).until_slot(99);
         let costly = ternary.model(ChannelModel::CostlyCollisions { alpha: 0.5 });
         type Entry = fn(&SimConfig) -> RunResult;
         let entries: [(&str, Entry); 5] = [

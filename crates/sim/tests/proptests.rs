@@ -226,7 +226,7 @@ proptest! {
             Trace::new(v)
         };
         let cfg = SimConfig::new(seed)
-            .limits(lowsense_sim::config::Limits::until_slot(horizon));
+            .until_slot(horizon);
         let dense = run_dense(&cfg, mk_trace(), NoJam, |_| Greedy, &mut NoHooks);
         let sparse = run_sparse(&cfg, mk_trace(), NoJam, |_| Greedy, &mut NoHooks);
         prop_assert_eq!(dense.totals, sparse.totals);
@@ -273,7 +273,7 @@ proptest! {
             Trace::new(v)
         };
         let cfg = SimConfig::new(seed)
-            .limits(lowsense_sim::config::Limits::until_slot(horizon));
+            .until_slot(horizon);
         let fast = run_sparse(
             &cfg,
             mk_trace(),

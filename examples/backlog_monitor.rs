@@ -33,13 +33,13 @@ fn main() {
         "{:>10}  {:>8}  {:>10}  backlog",
         "slot", "backlog", "implicit_tp"
     );
-    for p in result.series.iter().filter(|p| p.active_slots >= 64) {
+    for p in result.series.iter().filter(|p| p.totals.active_slots >= 64) {
         let bar = "#".repeat((p.backlog as usize / 4).min(60));
         println!(
             "{:>10}  {:>8}  {:>10.3}  {bar}",
             p.slot,
             p.backlog,
-            p.implicit_throughput()
+            p.totals.implicit_throughput()
         );
     }
 

@@ -13,7 +13,7 @@ fn main() {
     println!("LOW-SENSING BACKOFF quickstart: batch of {n} packets, no jamming\n");
 
     // A scenario is a named, reusable run description: arrivals × jammer ×
-    // limits × metrics × seed. The protocol joins at the run call.
+    // horizon × metrics × seed. The protocol joins at the run call.
     let result = scenarios::batch_drain(n)
         .seed(42)
         .run_sparse(|_rng| LowSensing::new(Params::default()));

@@ -69,15 +69,16 @@ fn result_hash(r: &RunResult) -> u64 {
     }
     h = mix(h, r.series.len() as u64);
     for s in &r.series {
+        let st = &s.totals;
         for v in [
             s.slot,
-            s.active_slots,
-            s.arrivals,
-            s.jammed_active,
+            st.active_slots,
+            st.arrivals,
+            st.jammed_active,
             s.backlog,
-            s.sends,
-            s.listens,
-            s.overhead_slots,
+            st.sends,
+            st.listens,
+            st.overhead_slots,
             s.contention.to_bits(),
         ] {
             h = mix(h, v);

@@ -89,7 +89,7 @@ proptest! {
         prop_assert_eq!(a.per_packet, b.per_packet);
     }
 
-    /// Stream workloads with limits never violate accounting invariants,
+    /// Stream workloads cut at a horizon never violate accounting invariants,
     /// drained or not.
     #[test]
     fn truncated_streams_keep_invariants(

@@ -241,19 +241,16 @@ fn seven_protocols_three_way_bit_identical() {
     );
 }
 
-/// Step budgets cut runs mid-flight; both engines must stop on the same
-/// step with the same partial accounting.
+/// A slot horizon cuts a run mid-drain (this batch drains at slot 222);
+/// the wheel, the flat ring and the reference must stop at the same slot
+/// with the same partial accounting.
 #[test]
-fn step_budget_cutoff_bit_identical() {
-    let s = scenarios::batch_drain(64).seed(4).limits(Limits {
-        max_slot: u64::MAX / 2,
-        max_steps: 500,
-    });
-    assert_identical(
-        &s.run_sparse(lsb()),
-        &s.run_sparse_reference(lsb()),
-        "budget",
-    );
+fn slot_horizon_cutoff_bit_identical() {
+    let s = scenarios::batch_drain(64).seed(4).until_slot(100);
+    let cut = s.run_sparse(lsb());
+    assert!(!cut.drained(), "the horizon must cut the drain");
+    assert!(cut.totals.successes > 0, "the cut must fall mid-drain");
+    assert_three_way(&s, lsb(), "horizon cut");
 }
 
 /// Delays whose absolute wake slot saturates past the representable
@@ -284,10 +281,7 @@ fn saturated_wake_slots_bit_identical() {
     let s = Scenario::named("saturated-wakes")
         .arrivals(Trace::new(vec![(0, 2), (10, 1)]))
         .seed(1)
-        .limits(Limits {
-            max_slot: u64::MAX,
-            max_steps: 1_000,
-        });
+        .until_slot(u64::MAX);
     let fast = s.run_sparse(|_| FarFuture);
     let reference = s.run_sparse_reference(|_| FarFuture);
     assert_identical(&fast, &reference, "saturated-wakes");
