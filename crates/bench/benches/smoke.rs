@@ -30,7 +30,15 @@
 //! schema 9 folds the `observe`, `wake` and `sched` slugs into one
 //! `listeners` slug (11 shares, not 13: the listener cohort is one sweep)
 //! and adds a `phases` entry for `sparse_lsb_16384_nocd`, the profiled
-//! tier where senders are a large share of the accesses.
+//! tier where senders are a large share of the accesses; schema 10 moves
+//! the mid tier to `sparse_lsb_600k`, since `LowSensing` shrank to 8 B and
+//! 300k states no longer clear the staging gate, adds an untimed
+//! `cyc_per_access` to every `engines` entry (TSC cycles over the same
+//! window as `seconds`, so each profiled tier has an untimed figure on the
+//! same scenario; the 600k and 1M profiles run seed 1 of the entries'
+//! seeds 1–2), and adds the 1M tier's every-slot opening peak
+//! (`opening_bytes_per_station`, at event slot `opening_peak_event_slot`,
+//! with the per-slot buffers' `opening_stage_bytes` there) to `capacity`.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop
@@ -39,9 +47,10 @@
 //!
 //! ```json
 //! {
-//!   "schema": "lowsense-bench-engine/9",
+//!   "schema": "lowsense-bench-engine/10",
 //!   "engines": { "<name>": { "slots": N, "seconds": S, "slots_per_sec": R,
-//!                            "accesses": A, "accesses_per_sec": Q } },
+//!                            "accesses": A, "accesses_per_sec": Q,
+//!                            "cyc_per_access": Y } },
 //!   "campaign": { "<name>": { "cells": C, "runs": U, "seconds": S,
 //!                             "cells_per_sec": R } },
 //!   "phases": { "<name>": { "accesses": A, "cyc_per_access": X,
@@ -49,7 +58,10 @@
 //!   "capacity": { "<name>": { "stations": N, "horizon": H,
 //!                             "engine_bytes": B, "state_bytes": SB,
 //!                             "stage_bytes": GB,
-//!                             "bytes_per_station": X, "samples": K } }
+//!                             "bytes_per_station": X, "samples": K,
+//!                             "opening_bytes_per_station": O,
+//!                             "opening_peak_event_slot": E,
+//!                             "opening_stage_bytes": OB } }
 //! }
 //! ```
 //!
@@ -67,7 +79,8 @@ use std::time::Instant;
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{CjpConfig, CjpMwu};
 use lowsense_bench::profile::{
-    profile_sparse_capacity, profile_sparse_nocd, profile_sparse_smoke, SmokeProfile,
+    probe_opening_capacity, profile_sparse_capacity, profile_sparse_nocd, profile_sparse_smoke,
+    tsc, SmokeProfile, OPENING_EVENT_SLOTS,
 };
 use lowsense_experiments::campaigns;
 use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
@@ -81,11 +94,10 @@ const REPS: u64 = 5;
 /// cheap; station count is what this tier stresses).
 const CAP_STATIONS: u64 = 1_000_000;
 const CAP_HORIZON: u64 = 100_000;
-/// The mid tier between the 16384 drain and the 1M capacity tier: first
-/// point past the staged gather/scatter gate (a 4.8 MB lane of 16 B
-/// states), same horizon cap as the 1M tier so cyc/access figures are
-/// comparable.
-const MID_STATIONS: u64 = 300_000;
+/// The mid tier between the 16384 drain and the 1M capacity tier: past the
+/// staged gather/scatter gate (a 4.8 MB lane of 8 B states), same horizon
+/// cap as the 1M tier so cyc/access figures are comparable.
+const MID_STATIONS: u64 = 600_000;
 /// Fewer reps at capacity scale — one warm-up plus two measured seeds.
 const CAP_REPS: u64 = 2;
 const NOCD_HORIZON: u64 = 10_000;
@@ -99,6 +111,8 @@ struct Sample {
     slots: u64,
     accesses: u64,
     seconds: f64,
+    /// TSC cycles over the same window as `seconds`.
+    cycles: u64,
 }
 
 impl Sample {
@@ -109,6 +123,12 @@ impl Sample {
     fn accesses_per_sec(&self) -> f64 {
         self.accesses as f64 / self.seconds.max(1e-12)
     }
+
+    /// Untimed cycles per access: no phase marks in the loop, unlike the
+    /// `phases` profiles.
+    fn cyc_per_access(&self) -> f64 {
+        self.cycles as f64 / self.accesses.max(1) as f64
+    }
 }
 
 /// Times `reps` runs of `run`, counting simulated (active) slots and
@@ -117,6 +137,7 @@ fn measure_reps(name: &'static str, reps: u64, mut run: impl FnMut(u64) -> RunRe
     // Warm-up run; result intentionally discarded.
     let _ = run(0);
     let start = Instant::now();
+    let start_cycles = tsc();
     let mut slots = 0u64;
     let mut accesses = 0u64;
     for seed in 1..=reps {
@@ -124,11 +145,13 @@ fn measure_reps(name: &'static str, reps: u64, mut run: impl FnMut(u64) -> RunRe
         slots += totals.active_slots;
         accesses += totals.accesses();
     }
+    let cycles = tsc().wrapping_sub(start_cycles);
     Sample {
         name,
         slots,
         accesses,
         seconds: start.elapsed().as_secs_f64(),
+        cycles,
     }
 }
 
@@ -196,11 +219,11 @@ fn main() {
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
         }),
-        // The mid tier: 3·10^5 stations, the first smoke point whose state
+        // The mid tier: 6·10^5 stations, the first smoke point whose state
         // lane overflows the cache and runs the staged gather/scatter
         // path. Tracks the scaling curve between the in-cache 16384 drain
         // and the 1M capacity tier.
-        measure_reps("sparse_lsb_300k", CAP_REPS, |seed| {
+        measure_reps("sparse_lsb_600k", CAP_REPS, |seed| {
             scenarios::batch_drain(MID_STATIONS)
                 .totals_only()
                 .until_slot(CAP_HORIZON)
@@ -263,19 +286,28 @@ fn main() {
         cap_probe.peak_live
     );
 
+    // The capacity tier's opening at every event slot, where its
+    // per-station peak sits (the period-1024 samples above step over it).
+    let opening = probe_opening_capacity(CAP_STATIONS, 1);
+    assert_eq!(
+        opening.samples, OPENING_EVENT_SLOTS,
+        "the opening probe missed event slots"
+    );
+
     let mut json =
-        String::from("{\n  \"schema\": \"lowsense-bench-engine/9\",\n  \"engines\": {\n");
+        String::from("{\n  \"schema\": \"lowsense-bench-engine/10\",\n  \"engines\": {\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"{}\": {{ \"slots\": {}, \"seconds\": {:.6}, \"slots_per_sec\": {:.1}, \
-             \"accesses\": {}, \"accesses_per_sec\": {:.1} }}{sep}\n",
+             \"accesses\": {}, \"accesses_per_sec\": {:.1}, \"cyc_per_access\": {:.3} }}{sep}\n",
             s.name,
             s.slots,
             s.seconds,
             s.slots_per_sec(),
             s.accesses,
-            s.accesses_per_sec()
+            s.accesses_per_sec(),
+            s.cyc_per_access()
         ));
     }
     json.push_str("  },\n  \"campaign\": {\n");
@@ -300,30 +332,36 @@ fn main() {
     };
     push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
     push_phases(&mut json, "sparse_lsb_16384_nocd", &nocd_profile, ",");
-    push_phases(&mut json, "sparse_lsb_300k", &mid_profile, ",");
+    push_phases(&mut json, "sparse_lsb_600k", &mid_profile, ",");
     push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
     json.push_str("  },\n  \"capacity\": {\n");
     json.push_str(&format!(
         "    \"sparse_lsb_1M\": {{ \"stations\": {}, \"horizon\": {}, \"engine_bytes\": {}, \
-         \"state_bytes\": {}, \"stage_bytes\": {}, \"bytes_per_station\": {:.2}, \"samples\": {} }}\n",
+         \"state_bytes\": {}, \"stage_bytes\": {}, \"bytes_per_station\": {:.2}, \"samples\": {}, \
+         \"opening_bytes_per_station\": {:.2}, \"opening_peak_event_slot\": {}, \
+         \"opening_stage_bytes\": {} }}\n",
         cap_probe.peak_live,
         CAP_HORIZON,
         cap_probe.peak_engine_bytes,
         cap_probe.state_bytes(),
         cap_probe.peak_stage_bytes,
         cap_probe.bytes_per_station(),
-        cap_probe.samples
+        cap_probe.samples,
+        opening.peak_bytes_per_station,
+        opening.peak_event_slot,
+        opening.peak_stage_bytes
     ));
     json.push_str("  }\n}\n");
 
     for s in &samples {
         println!(
-            "smoke: {:<28} {:>12} slots in {:>8.3}s  ({:>12.0} slots/sec, {:>12.0} accesses/sec)",
+            "smoke: {:<28} {:>12} slots in {:>8.3}s  ({:>12.0} slots/sec, {:>12.0} accesses/sec, {:.1} cyc/access)",
             s.name,
             s.slots,
             s.seconds,
             s.slots_per_sec(),
-            s.accesses_per_sec()
+            s.accesses_per_sec(),
+            s.cyc_per_access()
         );
     }
     println!(
@@ -346,7 +384,7 @@ fn main() {
     }
     println!(
         "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
-        "phases_sparse_lsb_300k",
+        "phases_sparse_lsb_600k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
         100.0 * mid_profile.profile.share(Phase::Permute),
@@ -354,11 +392,14 @@ fn main() {
         100.0 * mid_profile.profile.share(Phase::Scatter),
     );
     println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station)",
+        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station; \
+         opening peak {:.2} at event slot {})",
         "capacity_sparse_lsb_1M",
         cap_profile.accesses,
         cap_profile.cyc_per_access(),
         cap_probe.bytes_per_station(),
+        opening.peak_bytes_per_station,
+        opening.peak_event_slot,
     );
     let mut f = std::fs::File::create(OUT_FILE).expect("create BENCH_engine.json");
     f.write_all(json.as_bytes())

@@ -113,7 +113,7 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 /// "Engine overhead" is the wake wheel's footprint, the packet table's
 /// bookkeeping lanes (ids + remap) and the per-slot buffers — everything
 /// the engine spends *per station* beyond the protocol state itself, whose
-/// size is the protocol's contract (`LowSensing` alone is 16 B, pinned by
+/// size is the protocol's contract (`LowSensing` alone is 8 B, pinned by
 /// its unit tests).
 #[derive(Default)]
 pub struct CapacityProbe {
@@ -131,9 +131,15 @@ pub struct CapacityProbe {
     pub samples: u64,
 }
 
+/// A sample's engine-overhead bytes: wheel, table bookkeeping and per-slot
+/// buffers.
+fn engine_bytes(s: &EngineSample) -> u64 {
+    s.footprint_bytes + s.state_bytes + s.stage_bytes
+}
+
 impl CapacityProbe {
     fn note(&mut self, s: &EngineSample) {
-        let engine = s.footprint_bytes + s.state_bytes + s.stage_bytes;
+        let engine = engine_bytes(s);
         self.peak_engine_bytes = self.peak_engine_bytes.max(engine);
         self.peak_stage_bytes = self.peak_stage_bytes.max(s.stage_bytes);
         self.peak_live = self.peak_live.max(s.backlog);
@@ -150,6 +156,53 @@ impl CapacityProbe {
     /// station.
     pub fn state_bytes(&self) -> u64 {
         self.peak_live * std::mem::size_of::<LowSensing>() as u64
+    }
+}
+
+/// Event slots [`OpeningProbe`] samples: the injection burst and the
+/// first cohorts, where a batch's per-slot buffers peak.
+pub const OPENING_EVENT_SLOTS: u64 = 256;
+
+/// Engine overhead per live station at every one of a run's first
+/// [`OPENING_EVENT_SLOTS`] event slots, kept at its peak.
+///
+/// [`CapacityProbe`] samples every 1024th event slot, which steps over a
+/// batch's opening: there the per-slot buffers hold a few hundred thousand
+/// participants, and the per-station peak of the whole run sits within
+/// the first few slots.
+#[derive(Default)]
+pub struct OpeningProbe {
+    /// Peak engine-overhead bytes over the live stations of the same
+    /// sample (the terms [`CapacityProbe`] sums).
+    pub peak_bytes_per_station: f64,
+    /// Event slot (the engine's count, from 1) of that peak.
+    pub peak_event_slot: u64,
+    /// Per-slot buffer bytes at that peak.
+    pub peak_stage_bytes: u64,
+    /// Number of samples taken.
+    pub samples: u64,
+}
+
+impl<P> Hooks<P> for OpeningProbe {
+    fn wants_observe(&self) -> bool {
+        false
+    }
+
+    fn sample_period(&self) -> Option<u64> {
+        Some(1)
+    }
+
+    fn on_sample(&mut self, s: &EngineSample) {
+        if s.event_slots > OPENING_EVENT_SLOTS || s.backlog == 0 {
+            return;
+        }
+        let per_station = engine_bytes(s) as f64 / s.backlog as f64;
+        if per_station > self.peak_bytes_per_station {
+            self.peak_bytes_per_station = per_station;
+            self.peak_event_slot = s.event_slots;
+            self.peak_stage_bytes = s.stage_bytes;
+        }
+        self.samples += 1;
     }
 }
 
@@ -260,6 +313,19 @@ pub fn profile_sparse_capacity(
     profile_reps(&scenario, reps)
 }
 
+/// Samples the opening of the capacity workload (`stations` stations
+/// batch-injected at slot 0, seed `seed`) at every event slot: one run
+/// capped at slot [`OPENING_EVENT_SLOTS`].
+pub fn probe_opening_capacity(stations: u64, seed: u64) -> OpeningProbe {
+    let scenario = scenarios::batch_drain(stations)
+        .totals_only()
+        .until_slot(OPENING_EVENT_SLOTS)
+        .seeded(seed);
+    let mut probe = OpeningProbe::default();
+    scenario.run_sparse_hooked(lsb, &mut probe);
+    probe
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,8 +334,8 @@ mod tests {
 
     type Factory = fn(&mut SimRng) -> LowSensing;
 
-    /// Stations in the staged case: 300k 16-byte states are a 4.8 MB lane.
-    const STAGED_STATIONS: u64 = 300_000;
+    /// Stations in the staged case: 600k 8-byte states are a 4.8 MB lane.
+    const STAGED_STATIONS: u64 = 600_000;
 
     /// A direct-path run and a staged one, each with its protocol factory.
     fn cases() -> [(Scenario<Batch, NoJam>, Factory); 2] {
@@ -280,10 +346,10 @@ mod tests {
         [
             // Below the staging gate: 512 states are an 8 KiB lane.
             (scenarios::batch_drain(512).seeded(3), lsb),
-            // Past it, and a 64-slot starting window puts over 100k
+            // Past it, and a 64-slot starting window puts over 200k
             // participants in each early slot.
             (
-                scenarios::high_fanout_batch(STAGED_STATIONS, 8).seeded(3),
+                scenarios::high_fanout_batch(STAGED_STATIONS, 4).seeded(3),
                 |_| LowSensing::with_window(Params::default(), 64.0),
             ),
         ]
@@ -345,6 +411,16 @@ mod tests {
                 assert!(a < b || next_slot, "{}: {a:?} then {b:?}", scenario.name());
             }
         }
+    }
+
+    #[test]
+    fn opening_probe_samples_every_opening_slot() {
+        // 4096 stations keep every one of the first 256 slots busy.
+        let probe = probe_opening_capacity(4096, 1);
+        assert_eq!(probe.samples, OPENING_EVENT_SLOTS);
+        assert!((1..=OPENING_EVENT_SLOTS).contains(&probe.peak_event_slot));
+        assert!(probe.peak_bytes_per_station > 0.0);
+        assert!(probe.peak_stage_bytes > 0);
     }
 
     #[test]

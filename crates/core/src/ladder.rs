@@ -27,11 +27,14 @@
 //! Ladders are interned per `(c, w_min, anchor)` in a process-wide cache
 //! ([`shared`]) and handed out as `&'static` references, so every packet
 //! with the same parameters shares one table (typically a few hundred rungs
-//! ≈ tens of KiB) and the per-packet state is just two pointers, to the
-//! ladder and to the current rung (rung addresses never move: an interned
-//! ladder's rows are a boxed slice that lives for the process). Interned
-//! ladders are deliberately leaked; the cache is bounded by the number of
-//! distinct parameter sets a process touches.
+//! ≈ tens of KiB). Beside each interned ladder sits one **rung record** per
+//! rung: the rung's row, its level, the clamped levels one step down and one
+//! step up, and a reference back to the interned ladder. The per-packet
+//! state is one pointer to the current record (records never move: they are
+//! a boxed slice that lives for the process), and a window update re-points
+//! it through the record's own wiring. Interned ladders are deliberately
+//! leaked; the cache is bounded by the number of distinct parameter sets a
+//! process touches.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -206,19 +209,6 @@ impl Ladder {
         &self.rows
     }
 
-    /// Index of `row`, which must be one of this ladder's [`rows`](Self::rows):
-    /// the inverse of [`row`](Self::row), from the row's address.
-    #[inline]
-    pub(crate) fn level_of(&self, row: &LadderRow) -> u32 {
-        let offset = (row as *const LadderRow as usize).wrapping_sub(self.rows.as_ptr() as usize);
-        let level = offset / std::mem::size_of::<LadderRow>();
-        debug_assert!(
-            self.rows.get(level).is_some_and(|r| std::ptr::eq(r, row)),
-            "row is not a rung of this ladder"
-        );
-        level as u32
-    }
-
     /// Index of the anchor rung (the window the ladder was grown from).
     #[inline]
     pub fn anchor_level(&self) -> u32 {
@@ -241,8 +231,7 @@ impl Ladder {
 
 impl std::fmt::Debug for Ladder {
     // A ladder holds hundreds of rungs; summarize instead of dumping them
-    // (packet states embed a ladder reference and derive Debug for
-    // assertion messages).
+    // into assertion messages.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ladder")
             .field("params", &self.params)
@@ -254,25 +243,81 @@ impl std::fmt::Debug for Ladder {
     }
 }
 
-/// Returns the process-wide interned ladder for `(params, anchor_w)`,
-/// building it on first use.
+/// One rung of an interned ladder, wired to its neighbours: the record a
+/// `LowSensing` state points at.
 ///
-/// Every packet constructed with the same parameters and starting window
-/// shares one `&'static` table — the "cache sharing across same-params
-/// packets" that keeps per-packet state `Copy` and two pointers wide. Entries
-/// are leaked intentionally; the cache is bounded by the distinct parameter
-/// sets a process touches (a sweep of 100 parameter points costs a few MiB
-/// once, not per packet).
+/// Every hot read goes through `row`; `observe` re-points to
+/// `home.rung(down)` or `home.rung(up)`, levels clamped at build time to
+/// the floor and the saturation rung. 56 bytes, within one cache line.
+pub(crate) struct Rung {
+    /// The rung's precomputed quantities, a copy of `home.ladder.row(level)`.
+    pub(crate) row: LadderRow,
+    /// The interned ladder this rung belongs to.
+    pub(crate) home: &'static Interned,
+    /// Index of this rung on its ladder.
+    pub(crate) level: u32,
+    /// `level - 1`, floored at rung 0: where silence steps.
+    pub(crate) down: u32,
+    /// `level + 1`, capped at the top rung: where noise steps.
+    pub(crate) up: u32,
+}
+
+/// An interned ladder and its rung records.
 ///
-/// A batch constructs every packet with the same key, so a one-entry
-/// per-thread cache answers repeat calls without the process-wide lock or
-/// hash. It is filled only from the process-wide map, so every thread
-/// still gets the one interned pointer per key.
-pub fn shared(params: Params, anchor_w: f64) -> &'static Ladder {
+/// Each record refers back to the `&'static Interned` that owns it, so the
+/// two are built in two phases: the ladder is leaked with the records
+/// unset, and the records, which need that `'static` address, are filled
+/// in once.
+pub(crate) struct Interned {
+    /// The ladder [`shared`] hands out.
+    pub(crate) ladder: Ladder,
+    rungs: OnceLock<Box<[Rung]>>,
+}
+
+impl Interned {
+    /// Leaks a new ladder for `(params, anchor_w)` and wires its records.
+    fn leak(params: Params, anchor_w: f64) -> &'static Interned {
+        let home: &'static Interned = Box::leak(Box::new(Interned {
+            ladder: Ladder::build(params, anchor_w),
+            rungs: OnceLock::new(),
+        }));
+        home.rungs.get_or_init(|| {
+            let top = home.ladder.top_level();
+            (0..=top)
+                .map(|level| Rung {
+                    row: *home.ladder.row(level),
+                    home,
+                    level,
+                    down: level.saturating_sub(1),
+                    up: (level + 1).min(top),
+                })
+                .collect()
+        });
+        home
+    }
+
+    /// Every rung record, bottom to top (one per [`Ladder::rows`] entry).
+    #[inline]
+    pub(crate) fn rungs(&self) -> &[Rung] {
+        self.rungs
+            .get()
+            .expect("rung records are set when interning")
+    }
+
+    /// The record of rung `level`.
+    #[inline]
+    pub(crate) fn rung(&self, level: u32) -> &Rung {
+        &self.rungs()[level as usize]
+    }
+}
+
+/// The process-wide interned ladder and rung records for `(params,
+/// anchor_w)`, built on first use; see [`shared`].
+pub(crate) fn interned(params: Params, anchor_w: f64) -> &'static Interned {
     type Key = (u64, u64, u64);
-    static CACHE: OnceLock<Mutex<HashMap<Key, &'static Ladder>>> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<HashMap<Key, &'static Interned>>> = OnceLock::new();
     thread_local! {
-        static LAST: Cell<Option<(Key, &'static Ladder)>> = const { Cell::new(None) };
+        static LAST: Cell<Option<(Key, &'static Interned)>> = const { Cell::new(None) };
     }
     let anchor_w = anchor_w.max(params.w_min());
     let key = (
@@ -280,20 +325,38 @@ pub fn shared(params: Params, anchor_w: f64) -> &'static Ladder {
         params.w_min().to_bits(),
         anchor_w.to_bits(),
     );
-    if let Some((last, ladder)) = LAST.get() {
+    if let Some((last, home)) = LAST.get() {
         if last == key {
-            return ladder;
+            return home;
         }
     }
     let mut cache = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
         .expect("ladder cache poisoned");
-    let ladder = *cache
+    let home = *cache
         .entry(key)
-        .or_insert_with(|| Box::leak(Box::new(Ladder::build(params, anchor_w))));
-    LAST.set(Some((key, ladder)));
-    ladder
+        .or_insert_with(|| Interned::leak(params, anchor_w));
+    LAST.set(Some((key, home)));
+    home
+}
+
+/// Returns the process-wide interned ladder for `(params, anchor_w)`,
+/// building it on first use.
+///
+/// Every packet constructed with the same parameters and starting window
+/// shares one `&'static` table, and its rung records — the "cache sharing
+/// across same-params packets" that keeps per-packet state `Copy` and one
+/// pointer wide. Entries are leaked intentionally; the cache is bounded by
+/// the distinct parameter sets a process touches (a sweep of 100 parameter
+/// points costs a few MiB once, not per packet).
+///
+/// A batch constructs every packet with the same key, so a one-entry
+/// per-thread cache answers repeat calls without the process-wide lock or
+/// hash. It is filled only from the process-wide map, so every thread
+/// still gets the one interned pointer per key.
+pub fn shared(params: Params, anchor_w: f64) -> &'static Ladder {
+    &interned(params, anchor_w).ladder
 }
 
 #[cfg(test)]
@@ -381,14 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn level_of_inverts_row() {
-        let l = Ladder::build(Params::default(), 64.0);
-        for level in 0..=l.top_level() {
-            assert_eq!(l.level_of(l.row(level)), level);
-        }
-    }
-
-    #[test]
     fn shared_interns_per_params_and_anchor() {
         let a = shared(Params::default(), 4.0);
         let b = shared(Params::default(), 4.0);
@@ -406,16 +461,115 @@ mod tests {
         assert!(std::ptr::eq(shared(Params::default(), 4.0), a));
         assert!(std::ptr::eq(shared(Params::default(), 64.0), d));
         // Another thread, with its own per-thread cache, gets the same
-        // interned pointers.
-        let (a2, d2) = std::thread::spawn(|| {
-            let a2 = shared(Params::default(), 4.0) as *const Ladder as usize;
-            let d2 = shared(Params::default(), 64.0) as *const Ladder as usize;
-            (a2, d2)
+        // interned pointers, to the ladders and to their rung records.
+        let addrs = |home: &'static Interned| {
+            let ladder = &home.ladder as *const Ladder as usize;
+            let rungs: Vec<usize> = home
+                .rungs()
+                .iter()
+                .map(|r| r as *const Rung as usize)
+                .collect();
+            (ladder, rungs)
+        };
+        let (a2, d2) = std::thread::spawn(move || {
+            (
+                addrs(interned(Params::default(), 4.0)),
+                addrs(interned(Params::default(), 64.0)),
+            )
         })
         .join()
         .unwrap();
-        assert_eq!(a2, a as *const Ladder as usize);
-        assert_eq!(d2, d as *const Ladder as usize);
+        assert_eq!(a2, addrs(interned(Params::default(), 4.0)));
+        assert_eq!(d2, addrs(interned(Params::default(), 64.0)));
+        assert_eq!(a2.0, a as *const Ladder as usize);
+        assert_eq!(d2.0, d as *const Ladder as usize);
+    }
+
+    fn bits(row: &LadderRow) -> [u64; 4] {
+        [
+            row.w.to_bits(),
+            row.p_listen.to_bits(),
+            row.p_send_given_listen.to_bits(),
+            row.inv_ln_q_listen.to_bits(),
+        ]
+    }
+
+    /// Three parameter sets (the last clamps `p_listen` to 1 near
+    /// `w = e³`), each anchored at the floor, mid-ladder and high up.
+    fn wiring_params() -> impl Iterator<Item = (Params, f64)> {
+        [
+            Params::default(),
+            Params::new(1.0, 8.0).unwrap(),
+            Params::new(2.0, 4.0).unwrap(),
+        ]
+        .into_iter()
+        .flat_map(|params| [4.0, 64.0, 1e6].map(|anchor| (params, anchor)))
+    }
+
+    #[test]
+    fn rung_records_carry_their_rows_and_clamped_neighbours() {
+        for (params, anchor) in wiring_params() {
+            let home = interned(params, anchor);
+            let ladder = &home.ladder;
+            let top = ladder.top_level();
+            assert!(std::mem::size_of::<Rung>() <= 64, "a record spans lines");
+            assert_eq!(home.rungs().len(), ladder.rows().len());
+            for (i, rung) in home.rungs().iter().enumerate() {
+                let level = rung.level;
+                assert_eq!(level as usize, i);
+                assert!(std::ptr::eq(rung.home, home));
+                assert_eq!(bits(&rung.row), bits(ladder.row(level)));
+                assert_eq!(rung.down, level.saturating_sub(1));
+                assert_eq!(rung.up, (level + 1).min(top));
+                assert_eq!(
+                    bits(&home.rung(rung.down).row),
+                    bits(ladder.row(level.saturating_sub(1)))
+                );
+                assert_eq!(
+                    bits(&home.rung(rung.up).row),
+                    bits(ladder.row((level + 1).min(top)))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rung_walk_matches_a_level_index_walk() {
+        use lowsense_sim::feedback::{Feedback, Observation};
+        use lowsense_sim::protocol::Protocol;
+        use lowsense_sim::rng::SimRng;
+
+        for (params, anchor) in wiring_params() {
+            let mut state = crate::LowSensing::with_window(params, anchor);
+            // The reference: a plain level stepped through `Ladder::row`.
+            let ladder = shared(params, anchor);
+            let mut level = ladder.anchor_level();
+            let mut seq = SimRng::new(17);
+            for step in 0..10_000 {
+                let feedback = match seq.range_u64(3) {
+                    0 => Feedback::Empty,
+                    1 => Feedback::Noisy,
+                    _ => Feedback::Success,
+                };
+                state.observe(&Observation::listener(step, feedback));
+                level = match feedback {
+                    Feedback::Empty => level.saturating_sub(1),
+                    Feedback::Noisy => (level + 1).min(ladder.top_level()),
+                    Feedback::Success => level,
+                };
+                assert_eq!(state.level(), level, "step {step}");
+                assert_eq!(
+                    state.window().to_bits(),
+                    ladder.row(level).w.to_bits(),
+                    "step {step}"
+                );
+                assert_eq!(
+                    state.access_probability().to_bits(),
+                    ladder.row(level).p_listen.to_bits(),
+                    "step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! The window is not stored as a float. Since it only moves by the
 //! multiplicative back-off/back-on steps above, the reachable windows form
 //! a discrete [`crate::ladder`] precomputed once per parameter set:
-//! the state is a **pointer to the current rung**, a window update
-//! re-points it one rung up or down, and the steady state runs with
+//! the state is a **pointer to the current rung's record**, a window
+//! update re-points it one rung up or down, and the steady state runs with
 //! **zero** `ln` calls and **zero** divides — the only transcendental left
 //! is the `ln U` of the wake draw (one
 //! [`fast_ln`](lowsense_sim::dist::fast_ln) multiply via
@@ -33,7 +33,7 @@ use lowsense_sim::feedback::{Feedback, Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
 
-use crate::ladder::{self, Ladder, LadderRow};
+use crate::ladder::{self, Ladder, Rung};
 use crate::params::Params;
 
 /// Per-packet state of `LOW-SENSING BACKOFF`.
@@ -49,16 +49,16 @@ use crate::params::Params;
 /// // Fresh packets send with probability exactly 1/w_min.
 /// assert!((p.send_probability() - 0.25).abs() < 1e-12);
 /// ```
-// Two interned pointers, 16 bytes: the ladder and the current rung on it.
-// The engines stream one state per participant every dense slot, so the
-// state is kept this small; every hot read is one dependent load through
-// `row` into the shared (cache-resident) ladder. The rung, not its index,
-// is stored so that a read chases one pointer with no bounds check.
+// One interned pointer, 8 bytes: the current rung's record, which carries
+// the row, the level, the neighbouring levels and a reference back to its
+// ladder. The engines stream one state per participant every dense slot,
+// so the state is kept this small; every hot read is one dependent load
+// through `rung` into the shared (cache-resident) records. The record, not
+// its index, is stored so that a read chases one pointer with no bounds
+// check.
 #[derive(Clone, Copy)]
 pub struct LowSensing {
-    ladder: &'static Ladder,
-    // Always one of `ladder.rows()`.
-    row: &'static LadderRow,
+    rung: &'static Rung,
 }
 
 impl LowSensing {
@@ -71,51 +71,50 @@ impl LowSensing {
     /// used by tests and ablations. The starting window becomes the
     /// ladder's anchor rung, so `window()` reports it exactly.
     pub fn with_window(params: Params, w: f64) -> Self {
-        let ladder = ladder::shared(params, w);
+        let home = ladder::interned(params, w);
         LowSensing {
-            ladder,
-            row: ladder.row(ladder.anchor_level()),
+            rung: home.rung(home.ladder.anchor_level()),
         }
     }
 
     /// Current window size `w_u(t)`.
     #[inline]
     pub fn window(&self) -> f64 {
-        self.row.w
+        self.rung.row.w
     }
 
     /// The parameters this packet runs with.
     #[inline]
     pub fn params(&self) -> &Params {
-        self.ladder.params()
+        self.ladder().params()
     }
 
     /// The interned window ladder this packet steps along.
     #[inline]
     pub fn ladder(&self) -> &'static Ladder {
-        self.ladder
+        &self.rung.home.ladder
     }
 
     /// Current rung index on [`LowSensing::ladder`] (0 = the `w_min`
     /// floor).
     #[inline]
     pub fn level(&self) -> u32 {
-        self.ladder.level_of(self.row)
+        self.rung.level
     }
 
     /// Probability of accessing the channel (listening) this slot.
     #[inline]
     pub fn access_probability(&self) -> f64 {
-        self.row.p_listen
+        self.rung.row.p_listen
     }
 }
 
-// Both references compare by identity: `ladder::shared` interns one table
-// per (params, anchor), so two packets on the same ladder have the same
-// parameters, and the same rung then means the same window.
+// Compares by identity: `ladder::interned` builds one set of rung records
+// per (params, anchor), so the same record means the same ladder, the same
+// parameters and the same window.
 impl PartialEq for LowSensing {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.ladder, other.ladder) && std::ptr::eq(self.row, other.row)
+        std::ptr::eq(self.rung, other.rung)
     }
 }
 
@@ -123,13 +122,14 @@ impl std::fmt::Debug for LowSensing {
     // Manual: deriving would dump the whole interned ladder into every
     // assertion message.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let row = &self.rung.row;
         f.debug_struct("LowSensing")
             .field("params", self.params())
             .field("level", &self.level())
-            .field("w", &self.row.w)
-            .field("p_listen", &self.row.p_listen)
-            .field("p_send_given_listen", &self.row.p_send_given_listen)
-            .field("inv_ln_q_listen", &self.row.inv_ln_q_listen)
+            .field("w", &row.w)
+            .field("p_listen", &row.p_listen)
+            .field("p_send_given_listen", &row.p_send_given_listen)
+            .field("inv_ln_q_listen", &row.inv_ln_q_listen)
             .finish()
     }
 }
@@ -137,10 +137,11 @@ impl std::fmt::Debug for LowSensing {
 impl Protocol for LowSensing {
     #[inline]
     fn intent(&mut self, rng: &mut SimRng) -> Intent {
-        if !rng.bernoulli(self.row.p_listen) {
+        let row = &self.rung.row;
+        if !rng.bernoulli(row.p_listen) {
             return Intent::Sleep;
         }
-        if rng.bernoulli(self.row.p_send_given_listen) {
+        if rng.bernoulli(row.p_send_given_listen) {
             Intent::Send
         } else {
             Intent::Listen
@@ -150,8 +151,9 @@ impl Protocol for LowSensing {
     #[inline]
     fn observe(&mut self, obs: &Observation) {
         // Transcendental-free, divide-free window update: one rung up or
-        // down the precomputed ladder, clamped at the `w_min` floor (rung
-        // 0) and the saturation rung (top).
+        // down the precomputed ladder, to the neighbour the record names
+        // (clamped when it was built at the `w_min` floor, rung 0, and the
+        // saturation rung, the top).
         //
         // `obs.feedback` is whatever the run's `FeedbackModel` reports —
         // the algorithm assumes the paper's full-sensing ternary channel.
@@ -159,20 +161,20 @@ impl Protocol for LowSensing {
         // arrive as `Empty` and the update walks the wrong way (contention
         // reads as silence); that degradation is measured, not corrected,
         // by the feedback-grid campaign.
-        let level = self.level();
+        let r = self.rung;
         let level = match obs.feedback {
-            Feedback::Empty => level.saturating_sub(1),
-            Feedback::Noisy => (level + 1).min(self.ladder.top_level()),
+            Feedback::Empty => r.down,
+            Feedback::Noisy => r.up,
             // Someone else's success: no update (Figure 1 has rules only for
             // silent and noisy slots). Our own success departs us anyway.
             Feedback::Success => return,
         };
-        self.row = self.ladder.row(level);
+        self.rung = r.home.rung(level);
     }
 
     #[inline]
     fn send_probability(&self) -> f64 {
-        self.row.p_listen * self.row.p_send_given_listen
+        self.rung.row.p_listen * self.rung.row.p_send_given_listen
     }
 
     #[inline]
@@ -180,7 +182,7 @@ impl Protocol for LowSensing {
         // Exact inversion sampling, `k = ⌊ln U / ln(1-p_listen)⌋`, with the
         // logarithm of `1-p` cached (pre-inverted) in the ladder row: one
         // inlined transcendental and one multiply per draw.
-        let row = self.row;
+        let row = &self.rung.row;
         Some(geometric_inv(rng, row.p_listen, row.inv_ln_q_listen))
     }
 }
@@ -188,7 +190,7 @@ impl Protocol for LowSensing {
 impl SparseProtocol for LowSensing {
     #[inline]
     fn send_on_access(&mut self, rng: &mut SimRng) -> bool {
-        rng.bernoulli(self.row.p_send_given_listen)
+        rng.bernoulli(self.rung.row.p_send_given_listen)
     }
 
     #[inline]
@@ -197,7 +199,12 @@ impl SparseProtocol for LowSensing {
         // drawing nothing, and the four `ln U` evaluations are 4-wide —
         // `geometric4_inv` is bit-identical per lane to the scalar
         // `next_wake`, which the batch contract requires.
-        let rows = [states[0].row, states[1].row, states[2].row, states[3].row];
+        let rows = [
+            &states[0].rung.row,
+            &states[1].rung.row,
+            &states[2].rung.row,
+            &states[3].rung.row,
+        ];
         geometric4_inv(
             rng,
             rows.map(|r| r.p_listen),
@@ -362,8 +369,8 @@ mod tests {
     fn state_is_a_rung_pointer_on_its_ladder() {
         // The engines stream one state per participant each dense slot; a
         // cached field that re-inflates the lane must fail here first.
-        assert_eq!(std::mem::size_of::<LowSensing>(), 16);
-        // After any walk the row is a rung of the packet's own ladder.
+        assert_eq!(std::mem::size_of::<LowSensing>(), 8);
+        // After any walk the record is a rung of the packet's own ladder.
         let mut p = fresh();
         let mut seq = SimRng::new(11);
         for _ in 0..2_000 {
@@ -374,7 +381,7 @@ mod tests {
             };
             p.observe(&obs(fb));
             assert!(p.level() <= p.ladder().top_level());
-            assert!(std::ptr::eq(p.row, p.ladder().row(p.level())));
+            assert!(std::ptr::eq(p.rung, p.rung.home.rung(p.level())));
         }
     }
 
@@ -383,7 +390,7 @@ mod tests {
         // Long mixed feedback walks: after every round of four observes
         // and one batched next_wake4, all four lane states and delays must
         // equal the scalar path's exactly (PartialEq on LowSensing compares
-        // ladder and rung identity). Clamped parameters (p_listen = 1 at
+        // rung record identity). Clamped parameters (p_listen = 1 at
         // small w) exercise the degenerate no-draw lanes.
         for params in [
             Params::default(),

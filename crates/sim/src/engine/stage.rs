@@ -41,7 +41,7 @@
 //! sorted list's would. Sorting by
 //! address would buy the sweeps little, and every pass would then read the
 //! scratch through a permutation, one cache miss per participant once the
-//! cohort's scratch outgrows the private caches (~6 MB of 16 B states at
+//! cohort's scratch outgrows the private caches (~3 MB of 8 B states at
 //! the million-station tier's opening slots).
 //!
 //! Staging is gated ([`staging_applies`]): it pays two extra copies of
@@ -324,13 +324,15 @@ mod tests {
             STAGE_MIN_PARTICIPANTS,
             STAGE_MIN_LANE_BYTES - 1
         ));
-        // With 16 B `LowSensing` states, the 16384 bench tier (a 256 KiB
-        // lane) and 100k stations (1.6 MB) never stage.
-        assert!(!staging_applies(2000, 16_384 * 16));
-        assert!(!staging_applies(2000, 100_000 * 16));
-        // The 300k and 1M tiers do.
-        assert!(staging_applies(2000, 300_000 * 16));
-        assert!(staging_applies(2000, 1_000_000 * 16));
+        // With 8 B `LowSensing` states, the 16384 bench tier (a 128 KiB
+        // lane), 100k stations (800 KB) and 300k stations (2.4 MB) never
+        // stage.
+        assert!(!staging_applies(2000, 16_384 * 8));
+        assert!(!staging_applies(2000, 100_000 * 8));
+        assert!(!staging_applies(2000, 300_000 * 8));
+        // The 600k and 1M tiers do.
+        assert!(staging_applies(2000, 600_000 * 8));
+        assert!(staging_applies(2000, 1_000_000 * 8));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! late-run cohort of `k` live packets is scattered across a table sized
 //! for *every packet ever injected*, and each access drags a mostly-dead
 //! cache line through the hierarchy. At paper scale (tens of thousands of
-//! packets, protocol states of 16 bytes and up) that scatter is a
+//! packets, protocol states of 8 bytes and up) that scatter is a
 //! measurable slice of the whole simulation.
 //!
 //! [`PacketTable`] fixes the layout with a struct-of-arrays split plus

@@ -504,13 +504,13 @@ fn cohorts_of_every_size_three_way_bit_identical() {
     );
 }
 
-/// Stations in the staged scenarios: 300k 16-byte `LowSensing` states are
+/// Stations in the staged scenarios: 600k 8-byte `LowSensing` states are
 /// a 4.8 MB lane, ~15% past the 4 MiB staging gate.
-const STAGED_STATIONS: u64 = 300_000;
+const STAGED_STATIONS: u64 = 600_000;
 
 /// The staged gather/scatter path against both oracles, under all three
-/// feedback models. 300k stations put the state lane past the staging
-/// gate, and the small starting window keeps early slots at over 100k
+/// feedback models. 600k stations put the state lane past the staging
+/// gate, and the small starting window keeps early slots at over 200k
 /// participants each — so the wheel and flat-ring engines run the staged
 /// path, gathering each slot's states into a scratch in insertion order,
 /// while the heap reference runs its unstaged per-element loop.
@@ -519,7 +519,7 @@ const STAGED_STATIONS: u64 = 300_000;
 /// accumulation. Horizon-capped: coverage needs the high-fanout prefix,
 /// not a full drain.
 #[test]
-fn staged_high_fanout_300k_three_way_bit_identical() {
+fn staged_high_fanout_600k_three_way_bit_identical() {
     // Every run below must clear the staging gate, or the sparse engines
     // would silently take the direct path when the state shrinks.
     let lane = STAGED_STATIONS as usize * std::mem::size_of::<LowSensing>();
@@ -530,7 +530,7 @@ fn staged_high_fanout_300k_three_way_bit_identical() {
     let factory = |_: &mut SimRng| LowSensing::with_window(Params::default(), 64.0);
     // Ternary with full per-packet metrics: the strongest pin (every
     // packet's access counts and latencies must survive staging).
-    let s = scenarios::high_fanout_batch(STAGED_STATIONS, 16).seeded(6);
+    let s = scenarios::high_fanout_batch(STAGED_STATIONS, 8).seeded(6);
     assert_three_way(&s, factory, "high-fanout-batch under ternary");
     // The alternative models with totals-only metrics and a shorter
     // horizon: the staged slots still dominate the run, and totals (which
@@ -540,7 +540,7 @@ fn staged_high_fanout_300k_three_way_bit_identical() {
         ChannelModel::NoCollisionDetection,
         ChannelModel::CostlyCollisions { alpha: 0.5 },
     ] {
-        let s = scenarios::high_fanout_batch(STAGED_STATIONS, 12)
+        let s = scenarios::high_fanout_batch(STAGED_STATIONS, 6)
             .totals_only()
             .seeded(6)
             .model(model);
