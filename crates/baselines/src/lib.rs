@@ -1,7 +1,6 @@
 //! # lowsense-baselines — comparison protocols
 //!
-//! The protocols `LOW-SENSING BACKOFF` is measured against, plus parametric
-//! ablation variants of the algorithm itself:
+//! The protocols `LOW-SENSING BACKOFF` is measured against:
 //!
 //! | protocol | feedback loop | role |
 //! |----------|---------------|------|
@@ -9,11 +8,12 @@
 //! | [`PolynomialBackoff`] | none | second oblivious baseline |
 //! | [`SlottedAloha`] | none (genie `p = 1/N`) | the `1/e` reference line |
 //! | [`CjpMwu`] | **every slot** | short-feedback-loop MWU (\[36\]); constant throughput, `Θ(lifetime)` listens |
-//! | [`LowSensingVariant`] | tunable | ablations A2–A4 |
 //! | [`NoCdBackoff`] | successes + own failures only | robust on the no-collision-detection channel (Jiang–Zheng, arXiv:2111.06650) |
 //!
 //! All implement the `lowsense-sim` protocol traits and run under the same
-//! engines, adversaries, and metrics as the core algorithm.
+//! engines, adversaries, and metrics as the core algorithm. The ablations
+//! of the algorithm itself (A2–A4) are not here: they run `lowsense`'s own
+//! `LowSensing` under another `lowsense::Rule`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,11 +23,9 @@ pub mod beb;
 pub mod cjp;
 pub mod nocd;
 pub mod polynomial;
-pub mod variant;
 
 pub use aloha::SlottedAloha;
 pub use beb::{ProbBeb, WindowedBeb};
 pub use cjp::{CjpConfig, CjpMwu};
 pub use nocd::NoCdBackoff;
 pub use polynomial::PolynomialBackoff;
-pub use variant::{Coupling, LowSensingVariant, UpdateRule, VariantConfig};

@@ -14,6 +14,9 @@
 //! ladder snaps that round trip to exact — same `1/w` send-probability
 //! identity per rung, same `Θ(1/(c·ln w))`-relative step sizes the
 //! analysis charges against the potential, but a finite state space.
+//! Every [`Rule`](crate::Rule) the parameters carry builds its ladder the
+//! same way; a constant-factor rule (`Update::Factor(f)`) steps by `f` at
+//! every rung, so its ladder above the anchor is exactly `w·f^j`.
 //!
 //! What that buys the hot path: every rung carries the full set of derived
 //! quantities the reciprocal-form window recompute used to produce on the
@@ -24,12 +27,13 @@
 //! `ln` calls and **zero** divides. The only transcendental left in the
 //! steady state is the irreducible `ln U` of the next-wake draw.
 //!
-//! Ladders are interned per `(c, w_min, anchor)` in a process-wide cache
-//! ([`shared`]) and handed out as `&'static` references, so every packet
-//! with the same parameters shares one table (typically a few hundred rungs
-//! ≈ tens of KiB). Beside each interned ladder sits one **rung record** per
-//! rung: the rung's row, its level, the clamped levels one step down and one
-//! step up, and a reference back to the interned ladder. The per-packet
+//! Ladders are interned per `(c, w_min, rule, anchor)` in a process-wide
+//! cache ([`shared`]) and handed out as `&'static` references, so every
+//! packet with the same parameters shares one table (typically a few
+//! hundred rungs ≈ tens of KiB). Beside each interned ladder sits one
+//! **rung record** per rung: the rung's row, its level, the clamped levels
+//! one step down and one step up, and a reference back to the interned
+//! ladder. The per-packet
 //! state is one pointer to the current record (records never move: they are
 //! a boxed slice that lives for the process), and a window update re-points
 //! it through the record's own wiring. Interned ladders are deliberately
@@ -42,7 +46,7 @@ use std::sync::{Mutex, OnceLock};
 
 use lowsense_sim::dist::fast_ln;
 
-use crate::params::Params;
+use crate::params::{Coupling, Params, Update};
 
 /// Ascent stops once the listen probability drops below this. At
 /// `p_listen = 1e-21` the expected gap between channel accesses is `1e21`
@@ -64,9 +68,11 @@ const MAX_LEVELS: usize = 16_384;
 pub struct LadderRow {
     /// The window value `w` of this rung.
     pub w: f64,
-    /// Listen probability `min(1, c·ln³(w)/w)`.
+    /// Listen probability `min(1, c·ln^k(w)/w)`; under
+    /// [`Coupling::Independent`], the access probability `p_a`.
     pub p_listen: f64,
-    /// Conditional send probability `min(1, 1/(c·ln³ w))`.
+    /// Conditional send probability `min(1, 1/(c·ln^k w))`; under
+    /// [`Coupling::Independent`], the send-given-access `p_s/p_a`.
     pub p_send_given_listen: f64,
     /// Cached `1/ln(1 - p_listen)` for the geometric wake draw; `0` in the
     /// degenerate cases the draw guards handle (`p_listen` outside
@@ -95,36 +101,63 @@ pub struct Derived {
 /// recompute out inline). One `fast_ln` of the
 /// window, one reciprocal `x = 1/(c·ln w)` (the back-off factor `1 + x` is
 /// bit-equal to `window::update_factor_ln(c, ln w)`), and the send
-/// probability as pure multiplies: `1/(c·ln³ w) = x³·c²` exactly in real
-/// arithmetic.
+/// probability as pure multiplies: `1/(c·ln^k w) = x^k·c^(k−1)` exactly in
+/// real arithmetic. The rule in `params` picks `k`, the update factor
+/// (`1 + x` or a constant) and the coupling ([`LadderRow`] says what an
+/// independent rule's row holds).
 #[inline]
 pub fn derive(params: &Params, w: f64) -> Derived {
+    let rule = params.rule();
     let ln_w = fast_ln(w);
     let c = params.c();
     let x = 1.0 / (c * ln_w);
-    let back_off_factor = 1.0 + x;
+    let back_off_factor = match rule.update {
+        Update::Gentle => 1.0 + x,
+        Update::Factor(f) => f,
+    };
     let back_on_factor = 1.0 / back_off_factor;
-    let p_listen = params.listen_probability_ln(w, ln_w);
-    let p_send_given_listen = (x * x * x * (c * c)).min(1.0);
-    let inv_ln_q_listen = if p_listen <= 0.0 || p_listen >= 1.0 {
+    let (ln_k, x_k_c) = match rule.exponent() {
+        // The paper's k = 3 as multiplies: bit-equal to `powi(3)`, without
+        // the runtime call on every paper ladder's build.
+        3 => (ln_w * ln_w * ln_w, x * x * x * (c * c)),
+        k => powers(ln_w, x, c, k),
+    };
+    let p_listen = (c * ln_k / w).min(1.0);
+    let (p_access, p_send_given_access) = match rule.coupling {
+        Coupling::Coupled => (p_listen, x_k_c.min(1.0)),
+        Coupling::Independent => {
+            let p_send = 1.0 / w;
+            let p_access = p_listen + p_send - p_listen * p_send;
+            (p_access, (p_send / p_access).min(1.0))
+        }
+    };
+    let inv_ln_q_listen = if p_access <= 0.0 || p_access >= 1.0 {
         // Degenerate: the wake draws short-circuit before using this.
         0.0
-    } else if p_listen < 1e-8 {
+    } else if p_access < 1e-8 {
         // `1 - p` rounds to 1 here; `ln_1p` keeps full precision.
-        1.0 / (-p_listen).ln_1p()
+        1.0 / (-p_access).ln_1p()
     } else {
-        1.0 / fast_ln(1.0 - p_listen)
+        1.0 / fast_ln(1.0 - p_access)
     };
     Derived {
         row: LadderRow {
             w,
-            p_listen,
-            p_send_given_listen,
+            p_listen: p_access,
+            p_send_given_listen: p_send_given_access,
             inv_ln_q_listen,
         },
         back_off_factor,
         back_on_factor,
     }
+}
+
+/// `(ln_w^k, x^k·c^(k−1))` for an ablation's `k`, out of line so that the
+/// paper's path through [`derive()`] keeps its values in registers.
+#[cold]
+#[inline(never)]
+fn powers(ln_w: f64, x: f64, c: f64, k: i32) -> (f64, f64) {
+    (ln_w.powi(k), x.powi(k) * c.powi(k - 1))
 }
 
 /// The precomputed reachable-window table for one `(params, anchor)` pair.
@@ -314,16 +347,24 @@ impl Interned {
 /// The process-wide interned ladder and rung records for `(params,
 /// anchor_w)`, built on first use; see [`shared`].
 pub(crate) fn interned(params: Params, anchor_w: f64) -> &'static Interned {
-    type Key = (u64, u64, u64);
+    // (c, w_min, anchor, k, constant factor (`None`: gentle), independent).
+    type Key = (u64, u64, u64, u32, Option<u64>, bool);
     static CACHE: OnceLock<Mutex<HashMap<Key, &'static Interned>>> = OnceLock::new();
     thread_local! {
         static LAST: Cell<Option<(Key, &'static Interned)>> = const { Cell::new(None) };
     }
     let anchor_w = anchor_w.max(params.w_min());
+    let rule = params.rule();
     let key = (
         params.c().to_bits(),
         params.w_min().to_bits(),
         anchor_w.to_bits(),
+        rule.listen_exponent,
+        match rule.update {
+            Update::Gentle => None,
+            Update::Factor(f) => Some(f.to_bits()),
+        },
+        rule.coupling == Coupling::Independent,
     );
     if let Some((last, home)) = LAST.get() {
         if last == key {
@@ -362,6 +403,7 @@ pub fn shared(params: Params, anchor_w: f64) -> &'static Ladder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variant::ablation_samples;
 
     #[test]
     fn bottom_rung_is_exactly_w_min() {
@@ -400,18 +442,51 @@ mod tests {
 
     #[test]
     fn rows_match_derive_by_bits() {
-        let l = Ladder::build(Params::new(1.0, 8.0).unwrap(), 300.0);
-        for row in l.rows() {
-            let d = derive(l.params(), row.w);
-            assert_eq!(row.p_listen.to_bits(), d.row.p_listen.to_bits());
-            assert_eq!(
-                row.p_send_given_listen.to_bits(),
-                d.row.p_send_given_listen.to_bits()
-            );
-            assert_eq!(
-                row.inv_ln_q_listen.to_bits(),
-                d.row.inv_ln_q_listen.to_bits()
-            );
+        for params in std::iter::once(Params::new(1.0, 8.0).unwrap()).chain(ablation_samples()) {
+            let l = Ladder::build(params, 300.0);
+            assert!(l.saturated(), "{l:?}");
+            for row in l.rows() {
+                let d = derive(l.params(), row.w);
+                assert_eq!(row.p_listen.to_bits(), d.row.p_listen.to_bits());
+                assert_eq!(
+                    row.p_send_given_listen.to_bits(),
+                    d.row.p_send_given_listen.to_bits()
+                );
+                assert_eq!(
+                    row.inv_ln_q_listen.to_bits(),
+                    d.row.inv_ln_q_listen.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn factor_rule_rungs_are_exact_powers() {
+        // Doubling from w_min = 4: noise doubles and silence halves exactly.
+        let l = Ladder::build(ablation_samples()[1], 4.0);
+        assert!(l.saturated(), "{l:?}");
+        for (j, row) in l.rows().iter().enumerate() {
+            assert_eq!(row.w, 4.0 * 2f64.powi(j as i32), "rung {j}");
+        }
+    }
+
+    #[test]
+    fn independent_rungs_keep_a_positive_access_probability() {
+        // On every rung, the saturation rung too, p_s ≤ p_a ≤ p_l + p_s: so
+        // 0 < p_a and p_s/p_a ≤ 1. (1 − (1−p_l)(1−p_s) breaks both near the
+        // top: it is quantized to multiples of 1.1e-16, then rounds to 0.)
+        let params = ablation_samples()[2];
+        for anchor in [4.0, 1e6] {
+            let l = Ladder::build(params, anchor);
+            assert!(l.saturated(), "{l:?}");
+            for row in l.rows() {
+                let (p_send, p_a) = (1.0 / row.w, row.p_listen);
+                let p_listen = (params.c() * row.w.ln().powi(3) / row.w).min(1.0);
+                assert!(p_send <= p_a, "w = {}", row.w);
+                assert!(p_a <= (p_listen + p_send) * (1.0 + 1e-9), "w = {}", row.w);
+                let send = p_a * row.p_send_given_listen;
+                assert!((send - p_send).abs() <= 1e-12 * p_send, "w = {}", row.w);
+            }
         }
     }
 
@@ -455,6 +530,10 @@ mod tests {
         assert!(!std::ptr::eq(a, d));
         let e = shared(Params::new(1.0, 4.0).unwrap(), 4.0);
         assert!(!std::ptr::eq(a, e));
+        // Every ablation rule is a key of its own.
+        for other in ablation_samples() {
+            assert!(!std::ptr::eq(shared(other, 4.0), a), "{other:?}");
+        }
         // A/B/A: switching keys on one thread neither mixes ladders up nor
         // re-interns the first one.
         assert!(std::ptr::eq(shared(Params::default(), 64.0), d));
@@ -494,8 +573,8 @@ mod tests {
         ]
     }
 
-    /// Three parameter sets (the last clamps `p_listen` to 1 near
-    /// `w = e³`), each anchored at the floor, mid-ladder and high up.
+    /// Three paper-rule parameter sets (the third clamps `p_listen` to 1
+    /// near `w = e³`) and the ablation samples, each anchored low to high.
     fn wiring_params() -> impl Iterator<Item = (Params, f64)> {
         [
             Params::default(),
@@ -503,6 +582,7 @@ mod tests {
             Params::new(2.0, 4.0).unwrap(),
         ]
         .into_iter()
+        .chain(ablation_samples())
         .flat_map(|params| [4.0, 64.0, 1e6].map(|anchor| (params, anchor)))
     }
 

@@ -39,7 +39,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`params`] | validated algorithm constants `c`, `w_min` |
+//! | [`params`] | validated algorithm constants `c`, `w_min` and the Figure-1 [`Rule`] |
 //! | [`window`] | the multiplicative back-off/back-on rules |
 //! | [`ladder`] | the quantized reachable-window table the hot path steps |
 //! | [`protocol`] | [`LowSensing`]: the Figure 1 state machine |
@@ -58,9 +58,13 @@ pub mod protocol;
 pub mod theory;
 pub mod window;
 
+// Test-only: the ablation rules' parameter samples and their checks.
+#[cfg(test)]
+mod variant;
+
 pub use intervals::{IntervalRecord, IntervalRecorder};
 pub use ladder::{Ladder, LadderRow};
-pub use params::{ParamError, Params};
+pub use params::{Coupling, ParamError, Params, Rule, Update};
 pub use potential::{Alphas, PotentialTracker, Regime, RegimeOccupancy, RegimeThresholds};
 pub use protocol::LowSensing;
 
@@ -247,8 +251,9 @@ mod proptests {
             match Params::new(c, w) {
                 Ok(p) => {
                     prop_assert!(c * w.ln().powi(3) >= 1.0);
-                    prop_assert!(p.listen_probability(w) <= 1.0);
-                    prop_assert!(p.send_probability_given_listen(w) <= 1.0);
+                    let row = ladder::derive(&p, w).row;
+                    prop_assert!(row.p_listen <= 1.0);
+                    prop_assert!(row.p_send_given_listen <= 1.0);
                 }
                 Err(ParamError::SendProbabilityOverflow) => {
                     prop_assert!(c * w.ln().powi(3) < 1.0);

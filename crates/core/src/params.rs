@@ -14,14 +14,72 @@
 //! implementation clamps the listen probability at 1 and
 //! [`Params::respects_listen_cap`] reports whether clamping can occur).
 //! Defaults `c = 0.5`, `w_min = 4` satisfy both with margin.
+//!
+//! # The rule
+//!
+//! `Params` also carries the three Figure-1 choices the ablations (A2–A4)
+//! vary, as a [`Rule`]: the listen exponent `k`, the update factor and the
+//! send/listen coupling. [`Params::new`] sets [`Rule::PAPER`], and
+//! [`Params::with_rule`] validates another. Every rule runs as the same
+//! [`LowSensing`](crate::LowSensing), on a ladder of its own rungs.
 
 use std::fmt;
+
+/// The three Figure-1 choices the ablations vary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rule {
+    /// Exponent `k` in the listen probability `c·ln^k(w)/w` (A2).
+    pub listen_exponent: u32,
+    /// How the window moves on noise and on silence (A3).
+    pub update: Update,
+    /// Whether the send coin is nested inside the listen coin (A4).
+    pub coupling: Coupling,
+}
+
+impl Rule {
+    /// The paper's rule: `k = 3`, gentle updates, coupled coins.
+    pub const PAPER: Rule = Rule {
+        listen_exponent: 3,
+        update: Update::Gentle,
+        coupling: Coupling::Coupled,
+    };
+
+    /// `k` as `powi` takes it (saturated at `i32::MAX`).
+    #[inline]
+    pub(crate) fn exponent(&self) -> i32 {
+        i32::try_from(self.listen_exponent).unwrap_or(i32::MAX)
+    }
+}
+
+/// How the window reacts to feedback.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Update {
+    /// The paper's factor `1 + 1/(c·ln w)`: noise multiplies the window by
+    /// it, silence divides by it (floored at `w_min`).
+    Gentle,
+    /// A constant factor above 1 (`Factor(2.0)` doubles and halves).
+    Factor(f64),
+}
+
+/// Whether the send coin is nested inside the listen coin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coupling {
+    /// The paper: listen with probability `p_l = min(1, c·ln^k(w)/w)`; a
+    /// listener sends with probability `min(1, 1/(c·ln^k w))`.
+    Coupled,
+    /// Separate coins for listening (`p_l`) and sending (`p_s = 1/w`),
+    /// drawn as one access coin `p_a = p_l + p_s − p_l·p_s` and a send coin
+    /// `p_s/p_a` on access: the same marginals as two independent coins.
+    /// A send without a listen still observes the slot.
+    Independent,
+}
 
 /// Parameters of `LOW-SENSING BACKOFF`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
     c: f64,
     w_min: f64,
+    rule: Rule,
 }
 
 /// Validation failure constructing [`Params`].
@@ -31,9 +89,12 @@ pub enum ParamError {
     BadC,
     /// `w_min` was below 2 or not finite (the analysis needs `w ≥ 2`).
     BadWMin,
-    /// `c · ln³(w_min) < 1`, which would force the conditional send
-    /// probability above 1 and break the `p_send = 1/w` identity.
+    /// `c · ln^k(w_min) < 1` under a coupled rule (`k = 3` for the paper),
+    /// which would force the conditional send probability above 1 and
+    /// break the `p_send = 1/w` identity.
     SendProbabilityOverflow,
+    /// An [`Update::Factor`] that is not finite or not above 1.
+    BadFactor,
 }
 
 impl fmt::Display for ParamError {
@@ -41,12 +102,12 @@ impl fmt::Display for ParamError {
         match self {
             ParamError::BadC => write!(f, "c must be positive and finite"),
             ParamError::BadWMin => write!(f, "w_min must be finite and at least 2"),
-            ParamError::SendProbabilityOverflow => {
-                write!(
-                    f,
-                    "c·ln³(w_min) must be at least 1 so that p_send|listen ≤ 1"
-                )
-            }
+            ParamError::SendProbabilityOverflow => write!(
+                f,
+                "c·ln³(w_min) (c·ln^k(w_min) under a coupled rule) must be at least 1 \
+                 so that p_send|listen ≤ 1"
+            ),
+            ParamError::BadFactor => write!(f, "an update factor must be finite and above 1"),
         }
     }
 }
@@ -54,7 +115,8 @@ impl fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 impl Params {
-    /// Creates validated parameters.
+    /// Creates validated parameters running the paper's rule,
+    /// [`Rule::PAPER`].
     ///
     /// # Errors
     ///
@@ -77,10 +139,37 @@ impl Params {
         if w_min < 2.0 || !w_min.is_finite() {
             return Err(ParamError::BadWMin);
         }
-        if c * w_min.ln().powi(3) < 1.0 {
+        let rule = Rule::PAPER;
+        Params { c, w_min, rule }.with_rule(rule)
+    }
+
+    /// These parameters running `rule` instead.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::BadFactor`] for an [`Update::Factor`] that is not
+    /// finite or not above 1, and [`ParamError::SendProbabilityOverflow`]
+    /// for a coupled rule with `c·ln^k(w_min) < 1`. An independent rule
+    /// skips the second check: its send coin is `1/w` whatever `k` is.
+    ///
+    /// ```
+    /// use lowsense::{Params, Rule, Update};
+    ///
+    /// let doubling = Rule { update: Update::Factor(2.0), ..Rule::PAPER };
+    /// assert_eq!(Params::default().with_rule(doubling).unwrap().rule(), doubling);
+    /// ```
+    pub fn with_rule(self, rule: Rule) -> Result<Self, ParamError> {
+        if let Update::Factor(f) = rule.update {
+            if !(f > 1.0 && f.is_finite()) {
+                return Err(ParamError::BadFactor);
+            }
+        }
+        if rule.coupling == Coupling::Coupled
+            && self.c * self.w_min.ln().powi(rule.exponent()) < 1.0
+        {
             return Err(ParamError::SendProbabilityOverflow);
         }
-        Ok(Params { c, w_min })
+        Ok(Params { rule, ..self })
     }
 
     /// The multiplier `c`.
@@ -95,52 +184,27 @@ impl Params {
         self.w_min
     }
 
-    /// Whether `c·ln³(w)/w ≤ 1` for every reachable window, so the listen
+    /// The Figure-1 rule these parameters run.
+    #[inline]
+    pub fn rule(&self) -> Rule {
+        self.rule
+    }
+
+    /// Whether `c·ln^k(w)/w ≤ 1` for every reachable window, so the listen
     /// probability is never clamped and the implementation matches the
     /// paper's idealized algorithm exactly.
     pub fn respects_listen_cap(&self) -> bool {
-        // w/ln³w is U-shaped with minimum at w = e³; check the minimum of
-        // the reachable region [w_min, ∞).
-        let e3 = std::f64::consts::E.powi(3);
-        let at = |w: f64| w / w.ln().powi(3);
-        let min = if self.w_min <= e3 {
-            at(e3)
+        // w/ln^k w is U-shaped with minimum at w = e^k (increasing for
+        // k = 0); check the minimum of the reachable region [w_min, ∞).
+        let k = self.rule.exponent();
+        let ek = std::f64::consts::E.powi(k);
+        let at = |w: f64| w / w.ln().powi(k);
+        let min = if self.w_min <= ek {
+            at(ek)
         } else {
             at(self.w_min)
         };
         self.c <= min
-    }
-
-    /// Probability that a packet with window `w` listens this slot:
-    /// `min(1, c·ln³(w)/w)`.
-    #[inline]
-    pub fn listen_probability(&self, w: f64) -> f64 {
-        self.listen_probability_ln(w, w.ln())
-    }
-
-    /// [`Params::listen_probability`] with the caller supplying `ln w`.
-    ///
-    /// Hot paths (the per-observation recompute in
-    /// [`LowSensing`](crate::LowSensing)) cache the logarithm; passing it in
-    /// keeps the arithmetic bit-identical to the uncached form while paying
-    /// for one `ln` instead of three per window update.
-    #[inline]
-    pub fn listen_probability_ln(&self, w: f64, ln_w: f64) -> f64 {
-        (self.c * ln_w.powi(3) / w).min(1.0)
-    }
-
-    /// Probability that a listening packet also sends:
-    /// `min(1, 1/(c·ln³ w))` (the min never binds for valid parameters).
-    #[inline]
-    pub fn send_probability_given_listen(&self, w: f64) -> f64 {
-        self.send_probability_given_listen_ln(w.ln())
-    }
-
-    /// [`Params::send_probability_given_listen`] with the caller supplying
-    /// `ln w` (see [`Params::listen_probability_ln`]).
-    #[inline]
-    pub fn send_probability_given_listen_ln(&self, ln_w: f64) -> f64 {
-        (1.0 / (self.c * ln_w.powi(3))).min(1.0)
     }
 }
 
@@ -154,6 +218,8 @@ impl Default for Params {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::derive;
+    use crate::variant::ablation_samples;
 
     #[test]
     fn defaults_are_valid_and_unclamped() {
@@ -184,13 +250,34 @@ mod tests {
             Params::new(0.5, 2.0),
             Err(ParamError::SendProbabilityOverflow)
         );
+        // A coupled k = 0 rule sends w.p. 1/c given a listen: c = 0.5
+        // overflows (c = 1 does not, see `ablation_samples`). An independent
+        // rule sends at 1/w whatever k is, so it skips the check.
+        let mut k0 = ablation_samples()[0].rule();
+        assert_eq!(
+            Params::default().with_rule(k0),
+            Err(ParamError::SendProbabilityOverflow)
+        );
+        k0.coupling = Coupling::Independent;
+        assert_eq!(Params::default().with_rule(k0).unwrap().rule(), k0);
+    }
+
+    #[test]
+    fn rejects_bad_factor() {
+        let mut rule = Rule::PAPER;
+        for f in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            rule.update = Update::Factor(f);
+            let err = Params::default().with_rule(rule);
+            assert_eq!(err, Err(ParamError::BadFactor), "factor {f}");
+        }
     }
 
     #[test]
     fn unconditional_send_probability_is_one_over_w() {
         let p = Params::default();
         for w in [4.0, 7.3, 20.0, 1e3, 1e6] {
-            let prod = p.listen_probability(w) * p.send_probability_given_listen(w);
+            let row = derive(&p, w).row;
+            let prod = row.p_listen * row.p_send_given_listen;
             assert!(
                 (prod - 1.0 / w).abs() < 1e-12,
                 "w={w}: p_send = {prod}, expect {}",
@@ -204,7 +291,7 @@ mod tests {
         // c = 2 exceeds min w/ln³w ≈ 0.744 ⇒ clamping occurs around w ≈ e³.
         let p = Params::new(2.0, 4.0).unwrap();
         assert!(!p.respects_listen_cap());
-        assert_eq!(p.listen_probability(20.0), 1.0);
+        assert_eq!(derive(&p, 20.0).row.p_listen, 1.0);
         // Large w_min moves the reachable region past the dip.
         let q = Params::new(2.0, 2000.0).unwrap();
         assert!(q.respects_listen_cap());
@@ -212,12 +299,13 @@ mod tests {
 
     #[test]
     fn probabilities_are_probabilities() {
-        let p = Params::new(1.0, 3.0).unwrap();
-        for w in [3.0, 5.0, 20.0, 100.0, 1e9] {
-            let pl = p.listen_probability(w);
-            let ps = p.send_probability_given_listen(w);
-            assert!((0.0..=1.0).contains(&pl), "listen {pl} at w={w}");
-            assert!((0.0..=1.0).contains(&ps), "send {ps} at w={w}");
+        for p in std::iter::once(Params::new(1.0, 3.0).unwrap()).chain(ablation_samples()) {
+            for w in [3.0, 5.0, 20.0, 100.0, 1e9] {
+                let row = derive(&p, w).row;
+                let (pl, ps) = (row.p_listen, row.p_send_given_listen);
+                assert!((0.0..=1.0).contains(&pl), "listen {pl} at w={w}");
+                assert!((0.0..=1.0).contains(&ps), "send {ps} at w={w}");
+            }
         }
     }
 
@@ -227,5 +315,6 @@ mod tests {
         assert!(ParamError::SendProbabilityOverflow
             .to_string()
             .contains("ln³"));
+        assert!(ParamError::BadFactor.to_string().contains("factor"));
     }
 }

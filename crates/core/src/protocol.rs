@@ -14,6 +14,10 @@
 //! (Theorem 5.25: every listen carries a `1/(c·ln³ w)` chance of being a
 //! send, so long listen streaks imply success).
 //!
+//! That is the paper's [`Rule`](crate::Rule). The ablations (A2–A4) run
+//! this same state machine under other rules, which change only the rungs
+//! of the ladder below, never the code that steps it.
+//!
 //! # Representation: the quantized window ladder
 //!
 //! The window is not stored as a float. Since it only moves by the
@@ -68,7 +72,7 @@ impl LowSensing {
     }
 
     /// A packet with an explicit starting window (clamped to `≥ w_min`);
-    /// used by tests and ablations. The starting window becomes the
+    /// used by tests and benches. The starting window becomes the
     /// ladder's anchor rung, so `window()` reports it exactly.
     pub fn with_window(params: Params, w: f64) -> Self {
         let home = ladder::interned(params, w);
@@ -217,6 +221,7 @@ impl SparseProtocol for LowSensing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variant::ablation_samples;
 
     fn fresh() -> LowSensing {
         LowSensing::new(Params::default())
@@ -233,14 +238,18 @@ mod tests {
 
     #[test]
     fn send_probability_is_one_over_w() {
-        let mut p = fresh();
-        for _ in 0..200 {
-            assert!(
-                (p.send_probability() - 1.0 / p.window()).abs() < 1e-12,
-                "w={}",
-                p.window()
-            );
-            p.observe(&obs(Feedback::Noisy));
+        // The paper's coupled coins, and independent ones.
+        for params in [Params::default(), ablation_samples()[2]] {
+            let mut p = LowSensing::new(params);
+            for _ in 0..200 {
+                assert!(
+                    (p.send_probability() - 1.0 / p.window()).abs() < 1e-12,
+                    "{:?} w={}",
+                    params.rule(),
+                    p.window()
+                );
+                p.observe(&obs(Feedback::Noisy));
+            }
         }
     }
 
@@ -300,29 +309,32 @@ mod tests {
 
     #[test]
     fn intent_rates_match_probabilities() {
-        let mut p = LowSensing::with_window(Params::default(), 64.0);
-        let mut rng = SimRng::new(1);
-        let n = 400_000;
-        let (mut sends, mut listens) = (0u64, 0u64);
-        for _ in 0..n {
-            match p.intent(&mut rng) {
-                Intent::Send => sends += 1,
-                Intent::Listen => listens += 1,
-                Intent::Sleep => {}
+        // The paper's coupled coins, and independent ones.
+        for params in [Params::default(), ablation_samples()[2]] {
+            let mut p = LowSensing::with_window(params, 64.0);
+            let mut rng = SimRng::new(1);
+            let n = 400_000;
+            let (mut sends, mut listens) = (0u64, 0u64);
+            for _ in 0..n {
+                match p.intent(&mut rng) {
+                    Intent::Send => sends += 1,
+                    Intent::Listen => listens += 1,
+                    Intent::Sleep => {}
+                }
             }
+            let access_rate = (sends + listens) as f64 / n as f64;
+            let send_rate = sends as f64 / n as f64;
+            assert!(
+                (access_rate - p.access_probability()).abs() < 0.005,
+                "access {access_rate} vs {}",
+                p.access_probability()
+            );
+            assert!(
+                (send_rate - 1.0 / 64.0).abs() < 0.002,
+                "send {send_rate} vs {}",
+                1.0 / 64.0
+            );
         }
-        let access_rate = (sends + listens) as f64 / n as f64;
-        let send_rate = sends as f64 / n as f64;
-        assert!(
-            (access_rate - p.access_probability()).abs() < 0.005,
-            "access {access_rate} vs {}",
-            p.access_probability()
-        );
-        assert!(
-            (send_rate - 1.0 / 64.0).abs() < 0.002,
-            "send {send_rate} vs {}",
-            1.0 / 64.0
-        );
     }
 
     #[test]
@@ -346,7 +358,7 @@ mod tests {
         let n = 200_000;
         let sends = (0..n).filter(|_| p.send_on_access(&mut rng)).count();
         let rate = sends as f64 / n as f64;
-        let expect = p.params().send_probability_given_listen(64.0);
+        let expect = p.rung.row.p_send_given_listen;
         assert!((rate - expect).abs() < 0.005, "rate {rate} expect {expect}");
     }
 
@@ -392,11 +404,12 @@ mod tests {
         // equal the scalar path's exactly (PartialEq on LowSensing compares
         // rung record identity). Clamped parameters (p_listen = 1 at
         // small w) exercise the degenerate no-draw lanes.
-        for params in [
+        let paper = [
             Params::default(),
             Params::new(1.0, 8.0).unwrap(),
             Params::new(2.0, 4.0).unwrap(), // clamps p_listen to 1 near w=e³
-        ] {
+        ];
+        for params in paper.into_iter().chain(ablation_samples()) {
             let mut scalar: Vec<LowSensing> = (0..4)
                 .map(|i| LowSensing::with_window(params, 4.0 + 17.0 * i as f64))
                 .collect();

@@ -6,12 +6,13 @@
 //! on a quiet channel force success, which is how the energy argument
 //! closes. With independent coins the marginals are identical but the
 //! coupling (and its accounting convenience) is gone. We measure whether
-//! the behaviour differs in practice.
+//! the behaviour differs in practice. Each row runs `LowSensing` under its
+//! `Rule`, so the coupled rows are the shipped protocol.
 
-use lowsense_baselines::{Coupling, LowSensingVariant, VariantConfig};
+use lowsense::{Coupling, Params, Rule};
 use lowsense_campaign::CampaignSpec;
 
-use crate::common::ablation_batches;
+use crate::common::{ablation_batches, lsb_with};
 use crate::runner::Scale;
 use crate::table::{Cell, Table};
 
@@ -30,13 +31,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         .replicates(scale.seeds() as u32)
         .scenarios(ablation_batches(n, 0.1));
     for (name, coupling) in couplings {
-        let cfg = VariantConfig {
-            coupling,
-            ..VariantConfig::paper(0.5, 4.0)
-        };
-        spec = spec.protocol(name, move |sc, _| {
-            sc.run_sparse(|_| LowSensingVariant::new(cfg))
-        });
+        let mut rule = Rule::PAPER;
+        rule.coupling = coupling;
+        let p = Params::default()
+            .with_rule(rule)
+            .expect("valid sweep point");
+        spec = spec.protocol(name, move |sc, _| sc.run_sparse(lsb_with(p)));
     }
     let result = spec.run();
     let mut table = Table::new("A4", format!("send/listen coin coupling (batch N={n})")).columns([

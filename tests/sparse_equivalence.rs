@@ -24,10 +24,9 @@
 //! single-level schedule that must still drain in the identical
 //! (slot, insertion-seq) order through every cascade the wheel performs.
 
-use lowsense::{lsb, LowSensing, Params};
+use lowsense::{lsb, Coupling, LowSensing, Params, Rule, Update};
 use lowsense_baselines::{
-    CjpConfig, CjpMwu, Coupling, LowSensingVariant, PolynomialBackoff, ProbBeb, SlottedAloha,
-    UpdateRule, VariantConfig, WindowedBeb,
+    CjpConfig, CjpMwu, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb,
 };
 use lowsense_sim::prelude::*;
 use proptest::prelude::*;
@@ -201,11 +200,12 @@ fn reactive_adversaries_three_way_bit_identical() {
     assert_three_way(&sniper, lsb(), "sniper");
 }
 
-/// All seven protocols of the equivalence suite under the three-way check
-/// on a jammed batch: the protocols differ in scheduling shape
-/// (deterministic countdowns, memoryless draws, every-slot listeners,
-/// multiplicative ladders), so together they exercise every queue path —
-/// L0 pushes, coarse placements, cascades, and the far heap.
+/// All seven protocols of the equivalence suite (`LowSensing` twice, under
+/// two rules) under the three-way check on a jammed batch: they differ in
+/// scheduling shape (deterministic countdowns, memoryless draws,
+/// every-slot listeners, multiplicative ladders), so together they exercise
+/// every queue path — L0 pushes, coarse placements, cascades, and the far
+/// heap.
 #[test]
 fn seven_protocols_three_way_bit_identical() {
     let s = scenarios::random_jam_batch(48, 0.15)
@@ -229,16 +229,21 @@ fn seven_protocols_three_way_bit_identical() {
         |_: &mut SimRng| CjpMwu::new(CjpConfig::default()),
         "cjp (every-slot listener)",
     );
-    let cfg = VariantConfig {
-        update: UpdateRule::Factor(2.0),
-        coupling: Coupling::Independent,
-        ..VariantConfig::paper(0.5, 4.0)
-    };
+    let p = blunt_independent();
     assert_three_way(
         &s,
-        move |_: &mut SimRng| LowSensingVariant::new(cfg),
-        "lowsensing-variant",
+        move |_: &mut SimRng| LowSensing::new(p),
+        "lowsensing (factor 2, independent)",
     );
+}
+
+/// The ablation rule farthest from the paper's: doubling/halving updates
+/// and independent send/listen coins.
+fn blunt_independent() -> Params {
+    let mut rule = Rule::PAPER;
+    rule.update = Update::Factor(2.0);
+    rule.coupling = Coupling::Independent;
+    Params::default().with_rule(rule).unwrap()
 }
 
 /// A slot horizon cuts a run mid-drain (this batch drains at slot 222);
@@ -292,13 +297,13 @@ fn saturated_wake_slots_bit_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One registry sweep mixing the protocols that override the batched
-    /// wake draw (`LowSensing`, `LowSensingVariant`), one that listens
-    /// through its defaulted per-lane fallback (`CjpMwu`), and the
-    /// always-send baselines (`ProbBeb`, `SlottedAloha`, `WindowedBeb`,
-    /// `PolynomialBackoff`), which never listen and so never reach it:
-    /// whichever path a listener cohort takes, the calendar-queue engine
-    /// must stay bit-identical to the heap reference.
+    /// One registry sweep mixing the protocol that overrides the batched
+    /// wake draw (`LowSensing`, under the paper's rule and an ablation
+    /// rule), one that listens through its defaulted per-lane fallback
+    /// (`CjpMwu`), and the always-send baselines (`ProbBeb`, `SlottedAloha`,
+    /// `WindowedBeb`, `PolynomialBackoff`), which never listen and so never
+    /// reach it: whichever path a listener cohort takes, the calendar-queue
+    /// engine must stay bit-identical to the heap reference.
     #[test]
     fn mixed_batch_and_scalar_protocols_bit_identical(
         scenario_idx in 0usize..64,
@@ -332,7 +337,8 @@ proptest! {
                 &what,
             ),
             // One more always-send baseline, CJP on the defaulted
-            // next_wake4, and the batched variant below (case 6).
+            // next_wake4, and `LowSensing` under an ablation rule below
+            // (case 6).
             4 => assert_identical(
                 &s.run_sparse(|rng| PolynomialBackoff::new(4, 2, rng)),
                 &s.run_sparse_reference(|rng| PolynomialBackoff::new(4, 2, rng)),
@@ -344,14 +350,10 @@ proptest! {
                 &what,
             ),
             _ => {
-                let cfg = VariantConfig {
-                    update: UpdateRule::Factor(2.0),
-                    coupling: Coupling::Independent,
-                    ..VariantConfig::paper(0.5, 4.0)
-                };
+                let p = blunt_independent();
                 assert_identical(
-                    &s.run_sparse(move |_| LowSensingVariant::new(cfg)),
-                    &s.run_sparse_reference(move |_| LowSensingVariant::new(cfg)),
+                    &s.run_sparse(move |_| LowSensing::new(p)),
+                    &s.run_sparse_reference(move |_| LowSensing::new(p)),
                     &what,
                 )
             }
