@@ -38,7 +38,12 @@
 //! same scenario; the 600k and 1M profiles run seed 1 of the entries'
 //! seeds 1–2), and adds the 1M tier's every-slot opening peak
 //! (`opening_bytes_per_station`, at event slot `opening_peak_event_slot`,
-//! with the per-slot buffers' `opening_stage_bytes` there) to `capacity`.
+//! with the per-slot buffers' `opening_stage_bytes` there) to `capacity`;
+//! schema 11 drops the `permute` slug (10 shares: the engine's participant
+//! list is the stage plan's own, so no copy sits before the gather) and
+//! adds each `engines` entry's rep count and the median and median
+//! absolute deviation of its per-rep untimed `cyc_per_access`, so a
+//! tier's noise can be read beside its aggregate.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop
@@ -47,10 +52,12 @@
 //!
 //! ```json
 //! {
-//!   "schema": "lowsense-bench-engine/10",
+//!   "schema": "lowsense-bench-engine/11",
 //!   "engines": { "<name>": { "slots": N, "seconds": S, "slots_per_sec": R,
 //!                            "accesses": A, "accesses_per_sec": Q,
-//!                            "cyc_per_access": Y } },
+//!                            "cyc_per_access": Y, "reps": K,
+//!                            "cyc_per_access_median": M,
+//!                            "cyc_per_access_mad": D } },
 //!   "campaign": { "<name>": { "cells": C, "runs": U, "seconds": S,
 //!                             "cells_per_sec": R } },
 //!   "phases": { "<name>": { "accesses": A, "cyc_per_access": X,
@@ -87,6 +94,7 @@ use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 use lowsense_sim::hooks::Phase;
 use lowsense_sim::metrics::RunResult;
 use lowsense_sim::scenario::scenarios;
+use lowsense_stats::median;
 
 const REPS: u64 = 5;
 /// The capacity tier: a million stations batch-injected, horizon capped so
@@ -111,8 +119,10 @@ struct Sample {
     slots: u64,
     accesses: u64,
     seconds: f64,
-    /// TSC cycles over the same window as `seconds`.
+    /// TSC cycles summed over the measured reps.
     cycles: u64,
+    /// Each measured rep's untimed cycles per access, in seed order.
+    rep_cyc_per_access: Vec<f64>,
 }
 
 impl Sample {
@@ -129,6 +139,18 @@ impl Sample {
     fn cyc_per_access(&self) -> f64 {
         self.cycles as f64 / self.accesses.max(1) as f64
     }
+
+    /// Median and median absolute deviation of the per-rep cycles per
+    /// access.
+    fn cyc_per_access_spread(&self) -> (f64, f64) {
+        let mid = median(&self.rep_cyc_per_access);
+        let dev: Vec<f64> = self
+            .rep_cyc_per_access
+            .iter()
+            .map(|x| (x - mid).abs())
+            .collect();
+        (mid, median(&dev))
+    }
 }
 
 /// Times `reps` runs of `run`, counting simulated (active) slots and
@@ -137,21 +159,26 @@ fn measure_reps(name: &'static str, reps: u64, mut run: impl FnMut(u64) -> RunRe
     // Warm-up run; result intentionally discarded.
     let _ = run(0);
     let start = Instant::now();
-    let start_cycles = tsc();
     let mut slots = 0u64;
     let mut accesses = 0u64;
+    let mut cycles = 0u64;
+    let mut rep_cyc_per_access = Vec::with_capacity(reps as usize);
     for seed in 1..=reps {
+        let t0 = tsc();
         let totals = run(seed).totals;
+        let rep_cycles = tsc().wrapping_sub(t0);
         slots += totals.active_slots;
         accesses += totals.accesses();
+        cycles += rep_cycles;
+        rep_cyc_per_access.push(rep_cycles as f64 / totals.accesses().max(1) as f64);
     }
-    let cycles = tsc().wrapping_sub(start_cycles);
     Sample {
         name,
         slots,
         accesses,
         seconds: start.elapsed().as_secs_f64(),
         cycles,
+        rep_cyc_per_access,
     }
 }
 
@@ -274,7 +301,7 @@ fn main() {
     let nocd_profile = profile_sparse_nocd(16_384, NOCD_HORIZON, NOCD_REPS);
 
     // The mid tier's phase profile: the first point where the staged
-    // permute/gather/scatter slugs accrue cycles (one seed; the memory
+    // gather/scatter slugs accrue cycles (one seed; the memory
     // peaks are unused here).
     let (mid_profile, _) = profile_sparse_capacity(MID_STATIONS, CAP_HORIZON, 1);
 
@@ -295,19 +322,24 @@ fn main() {
     );
 
     let mut json =
-        String::from("{\n  \"schema\": \"lowsense-bench-engine/10\",\n  \"engines\": {\n");
+        String::from("{\n  \"schema\": \"lowsense-bench-engine/11\",\n  \"engines\": {\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
+        let (mid, mad) = s.cyc_per_access_spread();
         json.push_str(&format!(
             "    \"{}\": {{ \"slots\": {}, \"seconds\": {:.6}, \"slots_per_sec\": {:.1}, \
-             \"accesses\": {}, \"accesses_per_sec\": {:.1}, \"cyc_per_access\": {:.3} }}{sep}\n",
+             \"accesses\": {}, \"accesses_per_sec\": {:.1}, \"cyc_per_access\": {:.3}, \
+             \"reps\": {}, \"cyc_per_access_median\": {:.3}, \"cyc_per_access_mad\": {:.3} }}{sep}\n",
             s.name,
             s.slots,
             s.seconds,
             s.slots_per_sec(),
             s.accesses,
             s.accesses_per_sec(),
-            s.cyc_per_access()
+            s.cyc_per_access(),
+            s.rep_cyc_per_access.len(),
+            mid,
+            mad
         ));
     }
     json.push_str("  },\n  \"campaign\": {\n");
@@ -383,11 +415,10 @@ fn main() {
         );
     }
     println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; permute {:.1}%, gather {:.1}%, scatter {:.1}%)",
+        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; gather {:.1}%, scatter {:.1}%)",
         "phases_sparse_lsb_600k",
         mid_profile.accesses,
         mid_profile.cyc_per_access(),
-        100.0 * mid_profile.profile.share(Phase::Permute),
         100.0 * mid_profile.profile.share(Phase::Gather),
         100.0 * mid_profile.profile.share(Phase::Scatter),
     );

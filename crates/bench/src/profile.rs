@@ -1,6 +1,6 @@
 //! Phase-by-phase cycle profile of the sparse engine's hot loop.
 //!
-//! The production loop marks the end of each of its eleven phases
+//! The production loop marks the end of each of its ten phases
 //! through [`Hooks::on_phase`]. [`Profiler`] is the hook set that turns the
 //! marks into per-phase cycle totals (one TSC read per mark) and the
 //! engine's periodic [`EngineSample`]s into memory peaks. It rides along
@@ -43,8 +43,8 @@ pub fn tsc() -> u64 {
 
 /// Accumulated cycles per phase across every profiled rep.
 ///
-/// `permute`, `gather` and `scatter` cover the staged gather/scatter path
-/// and stay at zero on runs below the staging gate.
+/// `gather` and `scatter` cover the staged gather/scatter path and stay at
+/// zero on runs below the staging gate.
 #[derive(Default)]
 pub struct Profile {
     /// Cycle totals, indexed by `Phase as usize`.
@@ -119,9 +119,9 @@ pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mu
 pub struct CapacityProbe {
     /// Peak engine-overhead bytes.
     pub peak_engine_bytes: u64,
-    /// Peak bytes in the engine's per-slot buffers alone (the participant
-    /// list, the split's cohorts and sender ids, the stage plan and the
-    /// staged state scratch) — a sub-slice of
+    /// Peak bytes in the engine's per-slot buffers alone (the stage plan's
+    /// participant list and handles, the split's cohort buffer and sender
+    /// ids, and the staged state scratch) — a sub-slice of
     /// [`peak_engine_bytes`](Self::peak_engine_bytes), broken out so their
     /// cost stays visible in `BENCH_engine.json`.
     pub peak_stage_bytes: u64,
@@ -380,7 +380,7 @@ mod tests {
         });
         for phase in Phase::ALL {
             let i = phase as usize;
-            if matches!(phase, Phase::Permute | Phase::Gather | Phase::Scatter) {
+            if matches!(phase, Phase::Gather | Phase::Scatter) {
                 assert_eq!(direct[i], 0, "{}", phase.slug());
                 assert!(staged[i] > 0, "{}", phase.slug());
             } else {

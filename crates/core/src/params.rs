@@ -19,8 +19,10 @@
 //!
 //! `Params` also carries the three Figure-1 choices the ablations (A2–A4)
 //! vary, as a [`Rule`]: the listen exponent `k`, the update factor and the
-//! send/listen coupling. [`Params::new`] sets [`Rule::PAPER`], and
-//! [`Params::with_rule`] validates another. Every rule runs as the same
+//! send/listen coupling. [`Params::for_rule`] validates all three values
+//! together, [`Params::new`] is it at [`Rule::PAPER`], and
+//! [`Params::with_rule`] revalidates existing parameters under another
+//! rule. Every rule runs as the same
 //! [`LowSensing`](crate::LowSensing), on a ladder of its own rungs.
 
 use std::fmt;
@@ -133,24 +135,57 @@ impl Params {
     /// # Ok::<(), lowsense::ParamError>(())
     /// ```
     pub fn new(c: f64, w_min: f64) -> Result<Self, ParamError> {
+        Params::for_rule(c, w_min, Rule::PAPER)
+    }
+
+    /// Creates validated parameters running `rule`: the one validation
+    /// every constructor goes through.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::BadC`] when `c ≤ 0` or is not finite,
+    /// [`ParamError::BadWMin`] when `w_min < 2` or is not finite,
+    /// [`ParamError::BadFactor`] for an [`Update::Factor`] that is not
+    /// finite or not above 1, and [`ParamError::SendProbabilityOverflow`]
+    /// for a coupled rule with `c·ln^k(w_min) < 1`. An independent rule
+    /// skips the last check: its send coin is `1/w` whatever `c` and `k`
+    /// are, so it builds below the paper's floor on `c`.
+    ///
+    /// ```
+    /// use lowsense::{Coupling, ParamError, Params, Rule};
+    ///
+    /// let independent = Rule { coupling: Coupling::Independent, ..Rule::PAPER };
+    /// assert!(Params::for_rule(0.3, 4.0, independent).is_ok());
+    /// assert_eq!(
+    ///     Params::for_rule(0.3, 4.0, Rule::PAPER),
+    ///     Err(ParamError::SendProbabilityOverflow)
+    /// );
+    /// ```
+    pub fn for_rule(c: f64, w_min: f64, rule: Rule) -> Result<Self, ParamError> {
         if c <= 0.0 || !c.is_finite() {
             return Err(ParamError::BadC);
         }
         if w_min < 2.0 || !w_min.is_finite() {
             return Err(ParamError::BadWMin);
         }
-        let rule = Rule::PAPER;
-        Params { c, w_min, rule }.with_rule(rule)
+        if let Update::Factor(f) = rule.update {
+            if !(f > 1.0 && f.is_finite()) {
+                return Err(ParamError::BadFactor);
+            }
+        }
+        if rule.coupling == Coupling::Coupled && c * w_min.ln().powi(rule.exponent()) < 1.0 {
+            return Err(ParamError::SendProbabilityOverflow);
+        }
+        Ok(Params { c, w_min, rule })
     }
 
-    /// These parameters running `rule` instead.
+    /// These parameters running `rule` instead, validated as
+    /// [`for_rule`](Self::for_rule) validates.
     ///
     /// # Errors
     ///
-    /// [`ParamError::BadFactor`] for an [`Update::Factor`] that is not
-    /// finite or not above 1, and [`ParamError::SendProbabilityOverflow`]
-    /// for a coupled rule with `c·ln^k(w_min) < 1`. An independent rule
-    /// skips the second check: its send coin is `1/w` whatever `k` is.
+    /// As [`for_rule`](Self::for_rule); `c` and `w_min` are already valid,
+    /// so only the rule's checks can fail.
     ///
     /// ```
     /// use lowsense::{Params, Rule, Update};
@@ -159,17 +194,7 @@ impl Params {
     /// assert_eq!(Params::default().with_rule(doubling).unwrap().rule(), doubling);
     /// ```
     pub fn with_rule(self, rule: Rule) -> Result<Self, ParamError> {
-        if let Update::Factor(f) = rule.update {
-            if !(f > 1.0 && f.is_finite()) {
-                return Err(ParamError::BadFactor);
-            }
-        }
-        if rule.coupling == Coupling::Coupled
-            && self.c * self.w_min.ln().powi(rule.exponent()) < 1.0
-        {
-            return Err(ParamError::SendProbabilityOverflow);
-        }
-        Ok(Params { rule, ..self })
+        Params::for_rule(self.c, self.w_min, rule)
     }
 
     /// The multiplier `c`.
@@ -260,6 +285,30 @@ mod tests {
         );
         k0.coupling = Coupling::Independent;
         assert_eq!(Params::default().with_rule(k0).unwrap().rule(), k0);
+    }
+
+    #[test]
+    fn independent_rule_builds_below_the_paper_floor_on_c() {
+        // c·ln³(4) ≈ 0.80 < 1: the paper rule's send coin would overflow,
+        // an independent rule's (1/w) cannot.
+        let independent = Rule {
+            coupling: Coupling::Independent,
+            ..Rule::PAPER
+        };
+        let p = Params::for_rule(0.3, 4.0, independent).unwrap();
+        assert_eq!((p.c(), p.w_min(), p.rule()), (0.3, 4.0, independent));
+        let ladder = crate::Ladder::build(p, p.w_min());
+        for (level, row) in ladder.rows().iter().enumerate() {
+            let (pa, ps) = (row.p_listen, row.p_send_given_listen);
+            assert!((0.0..=1.0).contains(&pa), "access {pa} at rung {level}");
+            assert!((0.0..=1.0).contains(&ps), "send {ps} at rung {level}");
+        }
+        for err in [
+            Params::for_rule(0.3, 4.0, Rule::PAPER),
+            Params::new(0.3, 4.0),
+        ] {
+            assert_eq!(err, Err(ParamError::SendProbabilityOverflow));
+        }
     }
 
     #[test]

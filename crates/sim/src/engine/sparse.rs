@@ -31,21 +31,22 @@
 //! two position spaces behind one generic body (`slot_passes`, over the
 //! [`SlotArena`](crate::engine::stage) arena trait). The split is a
 //! branch-free partition of the participants into (id, position) entries
-//! for the two cohorts, plus an id-only sender list for the jam decision
-//! and the resolve. On the **direct** path the split resolves each
-//! participant's id → dense index **once**, and the cohort sweeps touch
-//! only the hot state lane (see [`table`](crate::engine::table)), never
-//! re-reading the remap. On the **staged** path — taken when the
-//! participant set is large *and* the state lane has outgrown the cache
-//! ([`staging_applies`]) — the engine **gathers** the participants'
-//! states, in insertion order, into a contiguous scratch with two
-//! prefetched sweeps, runs the split and the cohort sweeps against the
-//! scratch (participant `k` at scratch position `k`), and **scatters** the
-//! mutated states back before the depart path reads the table (see
-//! [`stage`](crate::engine::stage)). Either way, handles never span a
-//! compaction: the engine compacts only at end-of-slot, after a depart.
+//! for the two cohorts, which share one buffer filled from both ends, plus
+//! an id-only sender list for the jam decision and the resolve. On the
+//! **direct** path the split resolves each participant's id → dense index
+//! **once**, and the cohort sweeps touch only the hot state lane (see
+//! [`table`](crate::engine::table)), never re-reading the remap. On the
+//! **staged** path — taken when the participant set is large *and* the
+//! state lane has outgrown the cache ([`staging_applies`]) — the engine
+//! **gathers** the participants' states, in insertion order, into a
+//! contiguous scratch with two prefetched sweeps, runs the split and the
+//! cohort sweeps against the scratch (participant `k` at scratch position
+//! `k`), and **scatters** the mutated states back before the depart path
+//! reads the table (see [`stage`](crate::engine::stage)). Either way,
+//! handles never span a compaction: the engine compacts only at
+//! end-of-slot, after a depart.
 //!
-//! The loop marks the end of each of its eleven phases through
+//! The loop marks the end of each of its ten phases through
 //! [`Hooks::on_phase`] (see [`Phase`]). Hook sets that leave the default
 //! compile the marks away; the bench crate's profiler times them, so the
 //! published phase shares describe this loop and no copy of it.
@@ -325,27 +326,32 @@ fn observe_one<P, H>(
 /// index on the direct path, where the split pays the id → index remap
 /// once, and the insertion position, which is the scratch index, on the
 /// staged path.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Entry {
     id: u32,
     pos: u32,
 }
 
-/// The split's output: the senders and the listeners as [`Entry`]
-/// cohorts, both in insertion order, plus the senders' ids alone for the
-/// jam decision and the resolve.
+/// The split's output: the listeners and the senders as [`Entry`]
+/// cohorts of one buffer, both in insertion order, plus the senders' ids
+/// alone for the jam decision and the resolve.
 ///
-/// The partition is branch-free: every participant is written at the tail
-/// of both cohort lists and only its own side's tail advances, so a
-/// `send_on_access` coin flip costs no mispredicted branch. The writes
-/// need initialized slots, so each cohort list's length is a high-water
-/// mark (grown, never refilled, when a slot outgrows it) and only the
-/// prefixes the last partition counted are live.
+/// The partition is branch-free: a slot's `n` participants go into the
+/// buffer's first `n` entries, each written at both the listener cursor,
+/// which climbs from the front, and the sender cursor, which descends from
+/// the back, and only its own side's cursor advances, so a
+/// `send_on_access` coin flip costs no mispredicted branch. With `l`
+/// listeners and `s` senders placed, the next participant is written at
+/// `l` and at `n − 1 − s`, and `l + s < n` keeps both writes off every
+/// placed entry. The listeners end up in `[0, l)` in order and the
+/// senders in `[l, n)` backwards, which one in-place reversal turns round.
+/// The writes need initialized entries, so the buffer's length is a
+/// high-water mark (grown, never refilled, when a slot outgrows it) and
+/// only the first `n` entries are live.
 #[derive(Default)]
 struct Split {
     sender_ids: Vec<PacketId>,
-    senders: Vec<Entry>,
-    listeners: Vec<Entry>,
+    cohorts: Vec<Entry>,
     n_listeners: usize,
 }
 
@@ -354,25 +360,24 @@ impl Split {
     /// whether it sends, in insertion order.
     #[inline]
     fn partition(&mut self, participants: impl ExactSizeIterator<Item = (Entry, bool)>) {
-        fn grow(v: &mut Vec<Entry>, n: usize) {
-            if v.len() < n {
-                v.resize(n, Entry::default());
-            }
-        }
         let n = participants.len();
-        grow(&mut self.senders, n);
-        grow(&mut self.listeners, n);
-        let (mut s, mut l) = (0, 0);
-        for (e, sends) in participants {
-            self.senders[s] = e;
-            self.listeners[l] = e;
-            s += sends as usize;
-            l += !sends as usize;
+        if self.cohorts.len() < n {
+            self.cohorts.resize(n, Entry::default());
         }
+        let cohorts = &mut self.cohorts[..n];
+        let (mut l, mut back) = (0, n);
+        for (e, sends) in participants {
+            cohorts[l] = e;
+            cohorts[back - 1] = e;
+            l += !sends as usize;
+            back -= sends as usize;
+        }
+        let senders = &mut cohorts[l..];
+        senders.reverse();
         self.n_listeners = l;
         self.sender_ids.clear();
         self.sender_ids
-            .extend(self.senders[..s].iter().map(|e| PacketId(e.id)));
+            .extend(senders.iter().map(|e| PacketId(e.id)));
     }
 
     fn sender_ids(&self) -> &[PacketId] {
@@ -380,30 +385,28 @@ impl Split {
     }
 
     fn senders(&self) -> &[Entry] {
-        &self.senders[..self.sender_ids.len()]
+        &self.cohorts[self.n_listeners..][..self.sender_ids.len()]
     }
 
     fn listeners(&self) -> &[Entry] {
-        &self.listeners[..self.n_listeners]
+        &self.cohorts[..self.n_listeners]
     }
 
     fn bytes(&self) -> usize {
-        bytes(&self.sender_ids) + bytes(&self.senders) + bytes(&self.listeners)
+        bytes(&self.sender_ids) + bytes(&self.cohorts)
     }
 
     /// End of slot: forgets the slot's cohorts and, like every per-slot
-    /// buffer, shrinks each list to `keep` entries once its capacity
-    /// exceeds twice that ([`cap_scratch`]). A cohort list's high-water
-    /// length is cut first, or the shrink could not go below it.
+    /// buffer, shrinks each buffer to `keep` entries once its capacity
+    /// exceeds twice that ([`cap_scratch`]). The cohort buffer's
+    /// high-water length is cut first, or the shrink could not go below it.
     fn cap(&mut self, keep: usize) {
         self.sender_ids.clear();
         self.n_listeners = 0;
-        for v in [&mut self.senders, &mut self.listeners] {
-            if v.capacity() > 2 * keep {
-                v.truncate(keep);
-            }
-            cap_scratch(v, keep);
+        if self.cohorts.capacity() > 2 * keep {
+            self.cohorts.truncate(keep);
         }
+        cap_scratch(&mut self.cohorts, keep);
         cap_scratch(&mut self.sender_ids, keep);
     }
 }
@@ -417,20 +420,19 @@ fn bytes<T>(v: &Vec<T>) -> usize {
 /// from one slot to the next, and shrunk at the end of a slot relative to
 /// that slot's demand ([`shrink`](Self::shrink)).
 struct SlotBuffers<P> {
-    /// The slot's participants, in insertion order (the (slot, seq)-keyed
-    /// reference heap's pop order).
-    participants: Vec<u32>,
     split: Split,
-    /// Staged slots only (see crate::engine::stage): the participants'
-    /// handles and the contiguous scratch of their states.
+    /// The slot's participants, in insertion order (the (slot, seq)-keyed
+    /// reference heap's pop order), and on staged slots (see
+    /// crate::engine::stage) their handles.
     stage: StagePlan,
+    /// Staged slots only: the contiguous scratch of the participants'
+    /// states.
     scratch: Vec<P>,
 }
 
 impl<P> SlotBuffers<P> {
     fn new() -> Self {
         SlotBuffers {
-            participants: Vec::new(),
             split: Split::default(),
             stage: StagePlan::new(),
             scratch: Vec::new(),
@@ -439,10 +441,7 @@ impl<P> SlotBuffers<P> {
 
     /// Allocated bytes across every buffer: a sample's `stage_bytes`.
     fn bytes(&self) -> usize {
-        bytes(&self.participants)
-            + self.split.bytes()
-            + self.stage.footprint_bytes()
-            + bytes(&self.scratch)
+        self.split.bytes() + self.stage.footprint_bytes() + bytes(&self.scratch)
     }
 
     /// The end-of-slot shrink: every buffer keeps up to twice
@@ -450,12 +449,11 @@ impl<P> SlotBuffers<P> {
     /// reuses its allocations while a burst followed by a quiet slot still
     /// gives its memory back.
     fn shrink(&mut self) {
-        let keep = SCRATCH_CAP.max(self.participants.len());
+        let keep = SCRATCH_CAP.max(self.stage.participants().len());
         // The scratch is dead once the scatter ran. Left full, a direct
         // slot would keep it at the last staged slot's length, below which
         // no shrink can go.
         self.scratch.clear();
-        cap_scratch(&mut self.participants, keep);
         self.split.cap(keep);
         cap_scratch(&mut self.scratch, keep);
         self.stage.cap(keep);
@@ -611,7 +609,6 @@ where
         hooks.on_phase(Phase::Inject);
 
         let SlotBuffers {
-            participants,
             split,
             stage,
             scratch,
@@ -620,9 +617,9 @@ where
         // Collect every packet accessing the channel in slot te, in
         // insertion order (the (slot, seq)-keyed reference heap's pop
         // order).
-        participants.clear();
-        queue.take(te, participants);
+        stage.take(&mut queue, te);
         hooks.on_phase(Phase::Take);
+        let participants = stage.participants();
 
         if participants.is_empty() {
             // Arrival-only slot: nobody accesses; resolve as empty/jammed
@@ -670,14 +667,13 @@ where
         );
         let rng = &mut core.rng;
         if staged {
-            // Recording and gather draw no randomness, so the RNG stream
-            // starts exactly where the direct path's split would start it.
-            stage.build_order(participants);
-            hooks.on_phase(Phase::Permute);
+            // The gather draws no randomness, so the RNG stream starts
+            // exactly where the direct path's split would start it.
             stage.gather(&packets, scratch);
             hooks.on_phase(Phase::Gather);
             split.partition(
-                participants
+                stage
+                    .participants()
                     .iter()
                     .zip(scratch.iter_mut())
                     .enumerate()
@@ -1191,18 +1187,64 @@ mod tests {
             },
             &mut sampled,
         );
-        // What the rule lets a slot with at most SCRATCH_CAP participants
-        // keep: twice SCRATCH_CAP entries in each buffer — participants,
-        // sender ids, the plan's ids and handles (4 B each), the sender
-        // and listener cohorts (an 8-byte entry each), and the 64-byte
-        // state scratch.
-        let per_entry = 4 * 4 + 2 * std::mem::size_of::<Entry>() + std::mem::size_of::<Burst>();
+        // One entry of every per-slot buffer: the plan's participant list
+        // and handles and the sender ids (4 B each), the one cohort buffer
+        // (an 8-byte entry), and the 64-byte state scratch. The burst slot
+        // holds at most N of each (sender ids only for its senders), and
+        // what the rule lets a slot with at most SCRATCH_CAP participants
+        // keep is twice SCRATCH_CAP of each.
+        let per_entry = 3 * 4 + std::mem::size_of::<Entry>() + std::mem::size_of::<Burst>();
         let bound = (2 * SCRATCH_CAP * per_entry) as u64;
         let (burst, quiet) = sampled.0.split_first().expect("samples");
         assert!(*burst >= N * 64, "burst slot holds its scratch: {burst}");
+        assert!(*burst <= N * per_entry as u64, "burst slot: {burst} B");
         assert!(quiet.len() > 100, "{} quiet event slots", quiet.len());
         for (k, &bytes) in quiet.iter().enumerate() {
             assert!(bytes <= bound, "quiet slot {k}: {bytes} > {bound}");
+        }
+    }
+
+    #[test]
+    fn split_matches_a_stable_two_list_partition() {
+        let mut rng = SimRng::new(5);
+        let mut slots: Vec<Vec<bool>> = vec![
+            vec![],
+            vec![false],
+            vec![true],
+            vec![true; 70],
+            vec![false; 70],
+            (0..70).map(|k| k % 2 == 0).collect(),
+            (0..69).map(|k| k % 2 == 1).collect(),
+        ];
+        // Random coins at sizes that grow and shrink, so one reused split
+        // sees every size after a larger slot has left its entries behind.
+        for n in [70, 3, 41, 0, 64, 1, 70, 17, 2, 55, 9, 70, 33] {
+            slots.push((0..n).map(|_| rng.bernoulli(0.5)).collect());
+        }
+        let mut split = Split::default();
+        for (k, coins) in slots.iter().enumerate() {
+            // Ids and positions distinct from every other slot's, so an
+            // entry left over from an earlier slot cannot pass for a live
+            // one.
+            let entries: Vec<Entry> = (0..coins.len() as u32)
+                .map(|i| Entry {
+                    id: 1000 * k as u32 + i,
+                    pos: 7 * i + k as u32,
+                })
+                .collect();
+            split.partition(entries.iter().copied().zip(coins.iter().copied()));
+            let (mut senders, mut listeners) = (Vec::new(), Vec::new());
+            for (&e, &sends) in entries.iter().zip(coins) {
+                if sends {
+                    senders.push(e);
+                } else {
+                    listeners.push(e);
+                }
+            }
+            let sender_ids: Vec<PacketId> = senders.iter().map(|e| PacketId(e.id)).collect();
+            assert_eq!(split.listeners(), listeners, "slot {k}: {coins:?}");
+            assert_eq!(split.senders(), senders, "slot {k}: {coins:?}");
+            assert_eq!(split.sender_ids(), sender_ids, "slot {k}: {coins:?}");
         }
     }
 

@@ -8,17 +8,18 @@
 //! returns). Staging breaks the chain and keeps every later pass off the
 //! lane:
 //!
-//! 1. **Record** — [`StagePlan::build_order`] copies the slot's
-//!    participant ids, in the insertion order the wake set handed them
-//!    over. No sort: processing order is insertion order, and the gather
-//!    needs nothing more than the list of addresses it will touch.
-//! 2. **Gather** — [`StagePlan::gather`] resolves the ids through the
-//!    remap lane, then copies their states into a contiguous scratch,
+//! 1. **Take** — the wake set drains the slot's bucket straight into the
+//!    [`StagePlan`]'s participant list, in insertion order, on every event
+//!    slot (staged or not), so the list exists once. No sort: processing
+//!    order is insertion order, and the gather needs nothing more than the
+//!    list of addresses it will touch.
+//! 2. **Gather** — [`StagePlan::gather`] resolves that list through the
+//!    remap lane, then copies the states into a contiguous scratch,
 //!    both in insertion order. Each sweep is a stream of mutually
 //!    independent loads with an explicit prefetch running ahead, so misses
 //!    overlap in the memory pipeline instead of serializing (see the method
 //!    docs for why the sweeps are deliberately *not* fused). Afterwards
-//!    `handles()[k]` and `scratch[k]` both belong to `participants[k]`.
+//!    `handles()[k]` and `scratch[k]` both belong to `participants()[k]`.
 //! 3. **Process** — the split and the two cohort sweeps (listeners, then
 //!    losing senders) run against the scratch, addressing participant `k`
 //!    at scratch position `k`. Every pass therefore reads the scratch
@@ -41,8 +42,8 @@
 //! sorted list's would. Sorting by
 //! address would buy the sweeps little, and every pass would then read the
 //! scratch through a permutation, one cache miss per participant once the
-//! cohort's scratch outgrows the private caches (~3 MB of 8 B states at
-//! the million-station tier's opening slots).
+//! cohort's scratch outgrows the private caches (~4.7 MB of 8 B states in
+//! the million-station tier's largest opening slot, 592,647 participants).
 //!
 //! Staging is gated ([`staging_applies`]): it pays two extra copies of
 //! every participant state, which is pure overhead when the state lane
@@ -51,8 +52,9 @@
 //! the exact pre-staging machine code.
 
 use crate::engine::table::{Dense, PacketTable};
-use crate::engine::wake::cap_scratch;
+use crate::engine::wake::{cap_scratch, WakeSet};
 use crate::packet::PacketId;
+use crate::time::Slot;
 
 /// Minimum participants in a slot before staging pays: below this the
 /// sweeps' setup and the two copies cost more than the misses they save.
@@ -77,18 +79,19 @@ pub fn staging_applies(participants: usize, lane_bytes: usize) -> bool {
     participants >= STAGE_MIN_PARTICIPANTS && lane_bytes >= STAGE_MIN_LANE_BYTES
 }
 
-/// The per-slot staging plan: the slot's participant ids and, after
+/// The slot's participant list and, on a staged slot after
 /// [`gather`](Self::gather), their dense handles, both in insertion order.
 ///
-/// One plan lives for the whole run; [`build_order`](Self::build_order)
-/// and [`gather`](Self::gather) refill it per staged slot and
+/// One plan lives for the whole run. The engine's wake set drains each
+/// event slot's bucket into it, staged or not, so the participant list is
+/// stored once; [`gather`](Self::gather) resolves it in place, and
 /// [`cap`](Self::cap) returns excess capacity at end-of-slot like every
 /// other per-slot buffer of the engine.
 #[derive(Debug, Default)]
 pub struct StagePlan {
     /// The slot's participant ids, in insertion order.
     ids: Vec<u32>,
-    /// Their dense handles, parallel to `ids`.
+    /// Their dense handles, parallel to `ids` after a gather.
     handles: Vec<Dense>,
 }
 
@@ -98,22 +101,35 @@ impl StagePlan {
         Self::default()
     }
 
-    /// Records the slot's participants, in the order given, for the
-    /// following [`gather`](Self::gather). No reordering happens: position
-    /// `k` of the staged slot is `participants[k]`.
-    ///
-    /// Draws no randomness and touches no engine state, so building the
-    /// plan before the split pass leaves the RNG stream untouched.
+    /// Loads `participants`, in the order given, as the slot's participant
+    /// list for the following [`gather`](Self::gather): position `k` of
+    /// the staged slot is `participants[k]`. The engine fills the list
+    /// from its wake set instead; this is the loader for callers that hold
+    /// the ids in a slice of their own.
     pub fn build_order(&mut self, participants: &[u32]) {
         self.ids.clear();
         self.ids.extend_from_slice(participants);
     }
 
-    /// The gather: resolves the recorded ids through the remap lane
+    /// Replaces the participant list with every event the wake set holds
+    /// for slot `t`, in insertion order. Draws no randomness and touches
+    /// no packet state.
+    pub(crate) fn take<Q: WakeSet>(&mut self, queue: &mut Q, t: Slot) {
+        self.ids.clear();
+        queue.take(t, &mut self.ids);
+    }
+
+    /// The slot's participant ids, in insertion order.
+    #[inline]
+    pub fn participants(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The gather: resolves the participant list through the remap lane
     /// (recording the handles for [`scatter_from`]'s write-back), then
     /// copies their states into `scratch` (cleared first), both in
     /// insertion order. Afterwards `handles()[k]` and `scratch[k]` belong
-    /// to the `k`-th participant passed to [`build_order`](Self::build_order).
+    /// to `participants()[k]`.
     ///
     /// Deliberately **two** sweeps, not one fused loop: inside a fused
     /// loop every state read depends on the remap read just before it, a
@@ -159,8 +175,9 @@ impl StagePlan {
         &self.handles
     }
 
-    /// Allocated bytes across the plan's buffers, counted against the
-    /// engine's bytes-per-station capacity budget.
+    /// Allocated bytes across the plan's buffers (the participant list and
+    /// the handles), counted against the engine's bytes-per-station
+    /// capacity budget.
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ids.capacity() * size_of::<u32>() + self.handles.capacity() * size_of::<Dense>()

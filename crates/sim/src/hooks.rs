@@ -25,10 +25,6 @@ pub enum Phase {
     Inject,
     /// Draining the slot's bucket into the participant list.
     Take,
-    /// Staged slots only: recording the participant ids in the stage plan,
-    /// one sequential copy. (No permutation happens any more; the slug is
-    /// kept so the phase keys of `BENCH_engine.json` stay stable.)
-    Permute,
     /// Staged slots only: the resolve and state copy-in sweeps.
     Gather,
     /// `send_on_access` draws splitting senders from listeners.
@@ -51,11 +47,10 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in loop order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Control,
         Phase::Inject,
         Phase::Take,
-        Phase::Permute,
         Phase::Gather,
         Phase::Split,
         Phase::Resolve,
@@ -71,7 +66,6 @@ impl Phase {
             Phase::Control => "control",
             Phase::Inject => "inject",
             Phase::Take => "take",
-            Phase::Permute => "permute",
             Phase::Gather => "gather",
             Phase::Split => "split",
             Phase::Resolve => "resolve",
@@ -110,10 +104,10 @@ pub struct EngineSample {
     /// protocol-state lane, whose size is the protocol's (0 where not
     /// tracked).
     pub state_bytes: u64,
-    /// Per-slot buffers in bytes: the participant list, the split's
-    /// sender and listener cohorts and sender ids, the stage plan and the
-    /// staged state scratch, all kept from slot to slot (0 where not
-    /// tracked). The engine's per-station overhead is `footprint_bytes +
+    /// Per-slot buffers in bytes: the stage plan's participant list and
+    /// handles, the split's one cohort buffer (listeners and senders) and
+    /// sender ids, and the staged state scratch, all kept from slot to
+    /// slot (0 where not tracked). The engine's per-station overhead is `footprint_bytes +
     /// state_bytes + stage_bytes` over the backlog.
     pub stage_bytes: u64,
 }
@@ -192,8 +186,8 @@ pub trait Hooks<P> {
 
     /// The sparse engine's slot loop just finished `phase`.
     ///
-    /// Each event slot marks its phases in [`Phase`] order: `permute`,
-    /// `gather` and `scatter` only on staged slots, and an arrival-only
+    /// Each event slot marks its phases in [`Phase`] order: `gather` and
+    /// `scatter` only on staged slots, and an arrival-only
     /// slot marks `control`, `inject`, `take`, `resolve`. Only the sparse
     /// engine marks phases. The empty default compiles the marks away, so
     /// implement this only to time the loop.
