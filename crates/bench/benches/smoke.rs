@@ -1,10 +1,12 @@
-//! Perf smoke target: slots/second per engine, machine readable.
+//! Perf smoke ledger: the workspace's one in-tree timing harness, machine
+//! readable.
 //!
 //! ```text
 //! cargo bench -p lowsense-bench --bench smoke
 //! ```
 //!
-//! Runs one representative scenario per engine and writes
+//! Runs one representative scenario per engine, the exact samplers, a
+//! face-off campaign grid and every registry experiment, and writes
 //! `BENCH_engine.json` (at the workspace root) with slots-per-second and
 //! accesses-per-second figures, so successive PRs have a perf trajectory
 //! to compare against. Schema 3 added a `campaign` section timing the tiny
@@ -43,23 +45,43 @@
 //! list is the stage plan's own, so no copy sits before the gather) and
 //! adds each `engines` entry's rep count and the median and median
 //! absolute deviation of its per-rep untimed `cyc_per_access`, so a
-//! tier's noise can be read beside its aggregate.
+//! tier's noise can be read beside its aggregate; schema 12 makes the
+//! ledger the workspace's one in-tree timing harness: it adds
+//! `sparse_lsb_16384_potential` (the 16384 drain with a fresh
+//! `PotentialTracker` hooked on per rep, the tracker's cost read against
+//! `sparse_lsb_16384` on the same seeds), a `samplers` section (cycles per
+//! draw of the exact samplers), and an `experiments` section (the
+//! quick-scale wall seconds of every registry experiment); grows the
+//! grouped entry to `grouped_cjp_262144`, whose reps took 2–4 ms in all at
+//! 4096 stations; and replaces `campaign_faceoff_small` (3 reps in 4–7 ms
+//! all told) with one face-off grid timed on 1 and 2 shards, whose serial
+//! run lasts over a second. Every spread in the file is `lowsense_stats::mad`.
 //!
 //! The `phases` and `capacity` entries come from the profiling hook set in
 //! `lowsense_bench::profile`, attached to the production sparse loop
 //! through `Scenario::run_sparse_hooked`. `capacity.state_bytes` is the
-//! peak live count times `size_of::<LowSensing>()`:
+//! peak live count times `size_of::<LowSensing>()`. Each spread record is
+//! the rep count `K` and the median and median absolute deviation of one
+//! per-rep figure (`..._median`, `..._mad`). A `campaign` entry's `cells`
+//! and `runs` count one run of its grid, and its `cells_per_sec` divides
+//! the cells by the median seconds:
 //!
 //! ```json
 //! {
-//!   "schema": "lowsense-bench-engine/11",
+//!   "schema": "lowsense-bench-engine/12",
 //!   "engines": { "<name>": { "slots": N, "seconds": S, "slots_per_sec": R,
 //!                            "accesses": A, "accesses_per_sec": Q,
 //!                            "cyc_per_access": Y, "reps": K,
 //!                            "cyc_per_access_median": M,
 //!                            "cyc_per_access_mad": D } },
-//!   "campaign": { "<name>": { "cells": C, "runs": U, "seconds": S,
+//!   "samplers": { "<name>": { "draws": N, "reps": K,
+//!                             "cyc_per_draw_median": M,
+//!                             "cyc_per_draw_mad": D } },
+//!   "campaign": { "<name>": { "cells": C, "runs": U, "reps": K,
+//!                             "seconds_median": M, "seconds_mad": D,
 //!                             "cells_per_sec": R } },
+//!   "experiments": { "<id>": { "reps": K, "seconds_median": M,
+//!                              "seconds_mad": D } },
 //!   "phases": { "<name>": { "accesses": A, "cyc_per_access": X,
 //!                           "shares": { "<slug>": F, ... } } },
 //!   "capacity": { "<name>": { "stations": N, "horizon": H,
@@ -79,22 +101,31 @@
 //! jammed entry) inflates its slot count with nearly-free skipped slots,
 //! while a channel access costs the same work in every run. Accesses are
 //! the engines' real unit of work (see docs/ARCHITECTURE.md).
+//!
+//! The grouped entry is the exception: the grouped engine samples each
+//! slot's sender count and rebuilds every packet's accesses at departure
+//! (`engine/grouped.rs`), so its `accesses` are reconstructed counts
+//! (499,246,608,490 over 3,806,305 active slots in its five reps), and
+//! its per-access figures compare with no other entry. Its trajectory is
+//! `slots_per_sec`.
 
-use std::io::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-use lowsense::{LowSensing, Params};
+use lowsense::{LowSensing, Params, PotentialTracker};
 use lowsense_baselines::{CjpConfig, CjpMwu};
 use lowsense_bench::profile::{
     probe_opening_capacity, profile_sparse_capacity, profile_sparse_nocd, profile_sparse_smoke,
-    tsc, SmokeProfile, OPENING_EVENT_SLOTS,
+    tsc, OPENING_EVENT_SLOTS,
 };
-use lowsense_experiments::campaigns;
+use lowsense_experiments::{campaigns, registry, Scale};
+use lowsense_sim::dist::{geometric, Binomial};
 use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 use lowsense_sim::hooks::Phase;
 use lowsense_sim::metrics::RunResult;
+use lowsense_sim::rng::SimRng;
 use lowsense_sim::scenario::scenarios;
-use lowsense_stats::median;
+use lowsense_stats::{mad, median};
 
 const REPS: u64 = 5;
 /// The capacity tier: a million stations batch-injected, horizon capped so
@@ -110,9 +141,60 @@ const MID_STATIONS: u64 = 600_000;
 const CAP_REPS: u64 = 2;
 const NOCD_HORIZON: u64 = 10_000;
 const NOCD_REPS: u64 = 2;
+/// The grouped batch: 2^18 stations, so its timed reps span well over
+/// 0.1 s of work (~50 ms a rep on a 2-vCPU box).
+const GROUPED_STATIONS: u64 = 1 << 18;
+/// Draws per sampler rep.
+const DRAWS: u64 = 1_000_000;
+/// Timed reps of the wall-clock entries (the campaign grid and each
+/// quick-scale experiment), after one warm-up.
+const WALL_REPS: u64 = 3;
+/// The campaign entries' face-off grid: batches of 2^6..2^13 stations × 8
+/// replicates (48 cells, 384 runs), whose serial run takes 1.5–2.0 s on a
+/// 2-vCPU box, well above timer noise.
+const CAMPAIGN_MAX_LOG2: u32 = 13;
+const CAMPAIGN_REPLICATES: u32 = 8;
 // Benches run with CWD = the package dir; anchor the report at the
 // workspace root so its location does not depend on how cargo was invoked.
 const OUT_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+
+/// One timed call: its wall seconds, its TSC cycles and what it returned.
+struct Rep<T> {
+    seconds: f64,
+    cycles: u64,
+    out: T,
+}
+
+/// The ledger's one timing loop: calls `run(0)` once as a warm-up, then
+/// times `run(1..=reps)` one call at a time.
+fn time_reps<T>(reps: u64, mut run: impl FnMut(u64) -> T) -> Vec<Rep<T>> {
+    let _ = run(0);
+    (1..=reps)
+        .map(|seed| {
+            let start = Instant::now();
+            let t0 = tsc();
+            let out = run(seed);
+            let cycles = tsc().wrapping_sub(t0);
+            let seconds = start.elapsed().as_secs_f64();
+            Rep {
+                seconds,
+                cycles,
+                out,
+            }
+        })
+        .collect()
+}
+
+/// The ledger's one spread record: the rep count, then the median and
+/// median absolute deviation of the per-rep `metric`.
+fn spread(metric: &str, xs: &[f64]) -> String {
+    format!(
+        "\"reps\": {}, \"{metric}_median\": {:.6}, \"{metric}_mad\": {:.6}",
+        xs.len(),
+        median(xs),
+        mad(xs)
+    )
+}
 
 struct Sample {
     name: &'static str,
@@ -139,52 +221,39 @@ impl Sample {
     fn cyc_per_access(&self) -> f64 {
         self.cycles as f64 / self.accesses.max(1) as f64
     }
-
-    /// Median and median absolute deviation of the per-rep cycles per
-    /// access.
-    fn cyc_per_access_spread(&self) -> (f64, f64) {
-        let mid = median(&self.rep_cyc_per_access);
-        let dev: Vec<f64> = self
-            .rep_cyc_per_access
-            .iter()
-            .map(|x| (x - mid).abs())
-            .collect();
-        (mid, median(&dev))
-    }
 }
 
 /// Times `reps` runs of `run`, counting simulated (active) slots and
 /// channel accesses (sends + listens, the engines' real unit of work).
 fn measure_reps(name: &'static str, reps: u64, mut run: impl FnMut(u64) -> RunResult) -> Sample {
-    // Warm-up run; result intentionally discarded.
-    let _ = run(0);
-    let start = Instant::now();
-    let mut slots = 0u64;
-    let mut accesses = 0u64;
-    let mut cycles = 0u64;
-    let mut rep_cyc_per_access = Vec::with_capacity(reps as usize);
-    for seed in 1..=reps {
-        let t0 = tsc();
-        let totals = run(seed).totals;
-        let rep_cycles = tsc().wrapping_sub(t0);
-        slots += totals.active_slots;
-        accesses += totals.accesses();
-        cycles += rep_cycles;
-        rep_cyc_per_access.push(rep_cycles as f64 / totals.accesses().max(1) as f64);
-    }
+    let reps = time_reps(reps, |seed| run(seed).totals);
     Sample {
         name,
-        slots,
-        accesses,
-        seconds: start.elapsed().as_secs_f64(),
-        cycles,
-        rep_cyc_per_access,
+        slots: reps.iter().map(|r| r.out.active_slots).sum(),
+        accesses: reps.iter().map(|r| r.out.accesses()).sum(),
+        seconds: reps.iter().map(|r| r.seconds).sum(),
+        cycles: reps.iter().map(|r| r.cycles).sum(),
+        rep_cyc_per_access: reps
+            .iter()
+            .map(|r| r.cycles as f64 / r.out.accesses().max(1) as f64)
+            .collect(),
     }
 }
 
 /// [`measure_reps`] at the standard `REPS`.
 fn measure(name: &'static str, run: impl FnMut(u64) -> RunResult) -> Sample {
     measure_reps(name, REPS, run)
+}
+
+/// Each rep's TSC cycles per draw, over `DRAWS` draws of `draw` a rep.
+fn cyc_per_draw(seed: u64, mut draw: impl FnMut(&mut SimRng) -> u64) -> Vec<f64> {
+    let mut rng = SimRng::new(seed);
+    time_reps(REPS, |_| {
+        black_box((0..DRAWS).fold(0u64, |acc, _| acc.wrapping_add(draw(&mut rng))))
+    })
+    .iter()
+    .map(|r| r.cycles as f64 / DRAWS as f64)
+    .collect()
 }
 
 fn main() {
@@ -208,6 +277,19 @@ fn main() {
                 .totals_only()
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
+        }),
+        // The same drain with a fresh potential tracker hooked on: its cost
+        // reads against the bare entry on the same seeds, and since an
+        // observing hook set never perturbs a run, CI requires the two
+        // entries' slots and accesses to match.
+        measure("sparse_lsb_16384_potential", |seed| {
+            scenarios::batch_drain(16_384)
+                .totals_only()
+                .seeded(seed)
+                .run_sparse_hooked(
+                    |_| LowSensing::new(Params::default()),
+                    &mut PotentialTracker::default(),
+                )
         }),
         // The retained heap-based loop on the identical workload, so every
         // BENCH_engine.json records the old-vs-new sparse ratio directly
@@ -267,29 +349,47 @@ fn main() {
                 .seeded(seed)
                 .run_sparse(|_| LowSensing::new(Params::default()))
         }),
-        measure("grouped_cjp_4096", |seed| {
-            scenarios::batch_drain(4096)
+        measure("grouped_cjp_262144", |seed| {
+            scenarios::batch_drain(GROUPED_STATIONS)
                 .totals_only()
                 .seeded(seed)
                 .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
         }),
     ];
 
-    // The campaign smoke entry: the tiny face-off sweep (the same spec the
-    // CI determinism canary runs), timed end to end on the shard pool —
-    // cells/sec is the sweep layer's unit of work.
-    let campaign_spec = campaigns::faceoff_small_spec(42);
-    let _warm = campaign_spec.run();
-    let campaign_start = Instant::now();
-    let campaign_reps = 3u32;
-    for _ in 0..campaign_reps {
-        let result = campaign_spec.run();
-        assert_eq!(result.cells.len(), campaign_spec.cell_count());
-    }
-    let campaign_seconds = campaign_start.elapsed().as_secs_f64();
-    let campaign_cells = campaign_spec.cell_count() as u64 * campaign_reps as u64;
-    let campaign_runs = campaign_spec.unit_count() as u64 * campaign_reps as u64;
-    let cells_per_sec = campaign_cells as f64 / campaign_seconds.max(1e-12);
+    // The exact samplers (`lowsense_sim::dist`): a geometric gap at
+    // p = 0.01, and the binomial in its inversion (BINV, np = 5) and
+    // rejection (BTPE, np = 30,000) regimes.
+    let binv = Binomial::new(100, 0.05);
+    let btpe = Binomial::new(100_000, 0.3);
+    let samplers = [
+        ("geometric", cyc_per_draw(1, |rng| geometric(rng, 0.01))),
+        ("binomial_binv", cyc_per_draw(2, |rng| binv.sample(rng))),
+        ("binomial_btpe", cyc_per_draw(3, |rng| btpe.sample(rng))),
+    ];
+
+    // One face-off grid timed end to end on 1 and 2 shards: cells/sec is
+    // the sweep layer's unit of work, and the pair reads the pool's
+    // speed-up.
+    let ns: Vec<u64> = (6..=CAMPAIGN_MAX_LOG2).map(|k| 1 << k).collect();
+    let grid = campaigns::faceoff_spec(&ns, CAMPAIGN_REPLICATES, 42);
+    let campaign: Vec<(usize, Vec<f64>)> = [1, 2]
+        .into_iter()
+        .map(|shards| {
+            let reps = time_reps(WALL_REPS, |_| grid.run_sharded(shards));
+            (shards, reps.iter().map(|r| r.seconds).collect())
+        })
+        .collect();
+
+    // Every registry experiment at quick scale, end to end: the
+    // reproduction's own wall time, T4 and A1 included.
+    let experiments: Vec<(&str, Vec<f64>)> = registry()
+        .iter()
+        .map(|e| {
+            let reps = time_reps(WALL_REPS, |_| (e.run)(Scale::Quick));
+            (e.id, reps.iter().map(|r| r.seconds).collect())
+        })
+        .collect();
 
     // The cycle profile of the sparse hot loop, from the same profiling
     // hook set the `phases` bench prints.
@@ -321,119 +421,126 @@ fn main() {
         "the opening probe missed event slots"
     );
 
-    let mut json =
-        String::from("{\n  \"schema\": \"lowsense-bench-engine/11\",\n  \"engines\": {\n");
-    for (i, s) in samples.iter().enumerate() {
-        let sep = if i + 1 == samples.len() { "" } else { "," };
-        let (mid, mad) = s.cyc_per_access_spread();
-        json.push_str(&format!(
-            "    \"{}\": {{ \"slots\": {}, \"seconds\": {:.6}, \"slots_per_sec\": {:.1}, \
-             \"accesses\": {}, \"accesses_per_sec\": {:.1}, \"cyc_per_access\": {:.3}, \
-             \"reps\": {}, \"cyc_per_access_median\": {:.3}, \"cyc_per_access_mad\": {:.3} }}{sep}\n",
-            s.name,
-            s.slots,
-            s.seconds,
-            s.slots_per_sec(),
-            s.accesses,
-            s.accesses_per_sec(),
-            s.cyc_per_access(),
-            s.rep_cyc_per_access.len(),
-            mid,
-            mad
-        ));
-    }
-    json.push_str("  },\n  \"campaign\": {\n");
-    json.push_str(&format!(
-        "    \"campaign_faceoff_small\": {{ \"cells\": {}, \"runs\": {}, \"seconds\": {:.6}, \
-         \"cells_per_sec\": {:.1} }}\n",
-        campaign_cells, campaign_runs, campaign_seconds, cells_per_sec
-    ));
-    json.push_str("  },\n  \"phases\": {\n");
-    let push_phases = |json: &mut String, name: &str, p: &SmokeProfile, sep: &str| {
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ ",
-            p.accesses,
-            p.cyc_per_access()
-        ));
-        let shares: Vec<String> = Phase::ALL
-            .iter()
-            .map(|&phase| format!("\"{}\": {:.4}", phase.slug(), p.profile.share(phase)))
-            .collect();
-        json.push_str(&shares.join(", "));
-        json.push_str(&format!(" }} }}{sep}\n"));
-    };
-    push_phases(&mut json, "sparse_lsb_16384", &phase_profile, ",");
-    push_phases(&mut json, "sparse_lsb_16384_nocd", &nocd_profile, ",");
-    push_phases(&mut json, "sparse_lsb_600k", &mid_profile, ",");
-    push_phases(&mut json, "sparse_lsb_1M", &cap_profile, "");
-    json.push_str("  },\n  \"capacity\": {\n");
-    json.push_str(&format!(
-        "    \"sparse_lsb_1M\": {{ \"stations\": {}, \"horizon\": {}, \"engine_bytes\": {}, \
-         \"state_bytes\": {}, \"stage_bytes\": {}, \"bytes_per_station\": {:.2}, \"samples\": {}, \
-         \"opening_bytes_per_station\": {:.2}, \"opening_peak_event_slot\": {}, \
-         \"opening_stage_bytes\": {} }}\n",
-        cap_probe.peak_live,
-        CAP_HORIZON,
-        cap_probe.peak_engine_bytes,
-        cap_probe.state_bytes(),
-        cap_probe.peak_stage_bytes,
-        cap_probe.bytes_per_station(),
-        cap_probe.samples,
-        opening.peak_bytes_per_station,
-        opening.peak_event_slot,
-        opening.peak_stage_bytes
-    ));
-    json.push_str("  }\n}\n");
+    let entry = |key: &str, fields: String| format!("    \"{key}\": {{ {fields} }}");
+    let phases = [
+        ("sparse_lsb_16384", &phase_profile),
+        ("sparse_lsb_16384_nocd", &nocd_profile),
+        ("sparse_lsb_600k", &mid_profile),
+        ("sparse_lsb_1M", &cap_profile),
+    ];
+    let sections: [(&str, Vec<String>); 6] = [
+        (
+            "engines",
+            samples
+                .iter()
+                .map(|s| {
+                    // Six decimals: the grouped entry's reconstructed
+                    // accesses put its cycles per access near 0.001.
+                    let fields = format!(
+                        "\"slots\": {}, \"seconds\": {:.6}, \"slots_per_sec\": {:.1}, \
+                         \"accesses\": {}, \"accesses_per_sec\": {:.1}, \"cyc_per_access\": {:.6}, {}",
+                        s.slots,
+                        s.seconds,
+                        s.slots_per_sec(),
+                        s.accesses,
+                        s.accesses_per_sec(),
+                        s.cyc_per_access(),
+                        spread("cyc_per_access", &s.rep_cyc_per_access)
+                    );
+                    entry(s.name, fields)
+                })
+                .collect(),
+        ),
+        (
+            "samplers",
+            samplers
+                .iter()
+                .map(|(key, xs)| {
+                    let fields = format!("\"draws\": {DRAWS}, {}", spread("cyc_per_draw", xs));
+                    entry(key, fields)
+                })
+                .collect(),
+        ),
+        (
+            "campaign",
+            campaign
+                .iter()
+                .map(|(shards, xs)| {
+                    let fields = format!(
+                        "\"cells\": {}, \"runs\": {}, {}, \"cells_per_sec\": {:.1}",
+                        grid.cell_count(),
+                        grid.unit_count(),
+                        spread("seconds", xs),
+                        grid.cell_count() as f64 / median(xs)
+                    );
+                    entry(&format!("faceoff_shards_{shards}"), fields)
+                })
+                .collect(),
+        ),
+        (
+            "experiments",
+            experiments
+                .iter()
+                .map(|(id, xs)| entry(id, spread("seconds", xs)))
+                .collect(),
+        ),
+        (
+            "phases",
+            phases
+                .iter()
+                .map(|(key, p)| {
+                    let shares: Vec<String> = Phase::ALL
+                        .iter()
+                        .map(|&phase| format!("\"{}\": {:.4}", phase.slug(), p.profile.share(phase)))
+                        .collect();
+                    let fields = format!(
+                        "\"accesses\": {}, \"cyc_per_access\": {:.2}, \"shares\": {{ {} }}",
+                        p.accesses,
+                        p.cyc_per_access(),
+                        shares.join(", ")
+                    );
+                    entry(key, fields)
+                })
+                .collect(),
+        ),
+        (
+            "capacity",
+            vec![entry(
+                "sparse_lsb_1M",
+                format!(
+                    "\"stations\": {}, \"horizon\": {}, \"engine_bytes\": {}, \
+                     \"state_bytes\": {}, \"stage_bytes\": {}, \"bytes_per_station\": {:.2}, \
+                     \"samples\": {}, \"opening_bytes_per_station\": {:.2}, \
+                     \"opening_peak_event_slot\": {}, \"opening_stage_bytes\": {}",
+                    cap_probe.peak_live,
+                    CAP_HORIZON,
+                    cap_probe.peak_engine_bytes,
+                    cap_probe.state_bytes(),
+                    cap_probe.peak_stage_bytes,
+                    cap_probe.bytes_per_station(),
+                    cap_probe.samples,
+                    opening.peak_bytes_per_station,
+                    opening.peak_event_slot,
+                    opening.peak_stage_bytes
+                ),
+            )],
+        ),
+    ];
+    let body: Vec<String> = sections
+        .iter()
+        .map(|(name, entries)| format!("  \"{name}\": {{\n{}\n  }}", entries.join(",\n")))
+        .collect();
+    let json = format!(
+        "{{\n  \"schema\": \"lowsense-bench-engine/12\",\n{}\n}}\n",
+        body.join(",\n")
+    );
 
-    for s in &samples {
-        println!(
-            "smoke: {:<28} {:>12} slots in {:>8.3}s  ({:>12.0} slots/sec, {:>12.0} accesses/sec, {:.1} cyc/access)",
-            s.name,
-            s.slots,
-            s.seconds,
-            s.slots_per_sec(),
-            s.accesses_per_sec(),
-            s.cyc_per_access()
-        );
+    // The report is the ledger itself, one entry a line.
+    for (name, entries) in &sections {
+        for e in entries {
+            println!("smoke: {name}: {}", e.trim_start());
+        }
     }
-    println!(
-        "smoke: {:<28} {:>12} cells in {:>8.3}s  ({:>12.1} cells/sec, {} runs)",
-        "campaign_faceoff_small", campaign_cells, campaign_seconds, cells_per_sec, campaign_runs
-    );
-    for (name, p) in [
-        ("phases_sparse_lsb_16384", &phase_profile),
-        ("phases_sparse_lsb_16384_nocd", &nocd_profile),
-    ] {
-        println!(
-            "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; split {:.1}%, listeners {:.1}%, senders {:.1}%)",
-            name,
-            p.accesses,
-            p.cyc_per_access(),
-            100.0 * p.profile.share(Phase::Split),
-            100.0 * p.profile.share(Phase::Listeners),
-            100.0 * p.profile.share(Phase::Senders),
-        );
-    }
-    println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; gather {:.1}%, scatter {:.1}%)",
-        "phases_sparse_lsb_600k",
-        mid_profile.accesses,
-        mid_profile.cyc_per_access(),
-        100.0 * mid_profile.profile.share(Phase::Gather),
-        100.0 * mid_profile.profile.share(Phase::Scatter),
-    );
-    println!(
-        "smoke: {:<28} {:>12} accesses  ({:.1} cyc/access; {:.1} engine B/station; \
-         opening peak {:.2} at event slot {})",
-        "capacity_sparse_lsb_1M",
-        cap_profile.accesses,
-        cap_profile.cyc_per_access(),
-        cap_probe.bytes_per_station(),
-        opening.peak_bytes_per_station,
-        opening.peak_event_slot,
-    );
-    let mut f = std::fs::File::create(OUT_FILE).expect("create BENCH_engine.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_engine.json");
+    std::fs::write(OUT_FILE, json).expect("write BENCH_engine.json");
     println!("smoke: wrote BENCH_engine.json");
 }

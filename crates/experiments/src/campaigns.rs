@@ -47,8 +47,9 @@ pub fn faceoff_spec(ns: &[u64], replicates: u32, seed: u64) -> CampaignSpec {
         })
 }
 
-/// The tiny face-off instance the CI canary and the perf smoke bench run:
-/// small batches, 2 replicates — a few hundred milliseconds of work whose
+/// The tiny face-off instance the CI determinism canary runs: small
+/// batches, 2 replicates — a few milliseconds of work (the sweep takes
+/// 2.5–3.5 ms through the `campaign` binary on a 2-vCPU box) whose
 /// artifact must be byte-identical for every shard count.
 pub fn faceoff_small_spec(seed: u64) -> CampaignSpec {
     faceoff_spec(&[64, 128], 2, seed)

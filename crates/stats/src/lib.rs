@@ -32,7 +32,7 @@ pub mod summary;
 pub use bootstrap::{bootstrap_mean_ci, Interval};
 pub use fit::{classify_growth, polylog_exponent, power_exponent, Growth};
 pub use histogram::LogHistogram;
-pub use quantile::{median, quantile, quantile_sorted, tail_summary};
+pub use quantile::{mad, median, quantile, quantile_sorted, tail_summary};
 pub use regression::{ols, Fit};
 pub use sketch::QuantileSketch;
 pub use summary::{Summary, Welford};

@@ -39,6 +39,19 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
+/// Median absolute deviation: the median of `|x - median(xs)|`, unscaled.
+/// One far outlier moves it by at most one order statistic, where it
+/// would dominate a standard deviation.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn mad(xs: &[f64]) -> f64 {
+    let mid = median(xs);
+    let dev: Vec<f64> = xs.iter().map(|x| (x - mid).abs()).collect();
+    median(&dev)
+}
+
 /// Common tail summary `(p50, p90, p99, max)` of integer counts.
 ///
 /// # Panics
@@ -84,6 +97,16 @@ mod tests {
         // numpy.quantile([1,2,3,4], 0.4) == 2.2
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((quantile(&xs, 0.4) - 2.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mad_is_robust_to_one_outlier() {
+        assert_eq!(mad(&[7.0, 7.0, 7.0]), 0.0);
+        // Odd length: median 3, deviations {2, 1, 0, 1, 2}.
+        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 5.0]), 1.0);
+        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 100.0]), 1.0);
+        // Even length: median 2.5, deviations {1.5, 0.5, 0.5, 1.5}.
+        assert_eq!(mad(&[4.0, 1.0, 3.0, 2.0]), 1.0);
     }
 
     #[test]
