@@ -18,64 +18,31 @@ use lowsense_sim::feedback::{Feedback, Intent, Observation};
 use lowsense_sim::protocol::{Protocol, SparseProtocol};
 use lowsense_sim::rng::SimRng;
 
-/// Parameters of the MWU baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CjpConfig {
-    /// Multiplicative step `γ > 1`: silence multiplies `p` by `γ`, noise
-    /// divides it.
-    pub gamma: f64,
-    /// Initial transmission probability.
-    pub p_init: f64,
-    /// Ceiling on the transmission probability.
-    pub p_max: f64,
-}
+/// Multiplicative step `γ = e^{1/4}`: silence multiplies `p` by `γ`, noise
+/// divides it. The literal is `0.25f64.exp()` to the bit (pinned by a test).
+const GAMMA: f64 = 1.2840254166877414;
 
-impl Default for CjpConfig {
-    /// `γ = e^{1/4}`, `p_init = p_max = 1/4` — the shape used in the
-    /// paper's discussion of \[36\]; exact constants immaterial for the
-    /// baselines' role here.
-    fn default() -> Self {
-        CjpConfig {
-            gamma: (0.25f64).exp(),
-            p_init: 0.25,
-            p_max: 0.25,
-        }
-    }
-}
-
-impl CjpConfig {
-    /// Validated constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `γ > 1` and `0 < p_init ≤ p_max ≤ 1`.
-    pub fn new(gamma: f64, p_init: f64, p_max: f64) -> Self {
-        assert!(gamma > 1.0, "gamma must exceed 1");
-        assert!(
-            p_init > 0.0 && p_init <= p_max && p_max <= 1.0,
-            "need 0 < p_init <= p_max <= 1"
-        );
-        CjpConfig {
-            gamma,
-            p_init,
-            p_max,
-        }
-    }
-}
+/// Initial and ceiling transmission probability.
+const P_MAX: f64 = 0.25;
 
 /// Per-packet (equivalently, per-cohort) state of the MWU baseline.
+///
+/// `γ = e^{1/4}` and `p_init = p_max = 1/4`, the shape used in the paper's
+/// discussion of \[36\]; the exact constants are immaterial for the
+/// baseline's role here.
 #[derive(Debug, Clone, Copy)]
 pub struct CjpMwu {
-    cfg: CjpConfig,
     p: f64,
 }
 
-impl CjpMwu {
-    /// A freshly injected packet.
-    pub fn new(cfg: CjpConfig) -> Self {
-        CjpMwu { cfg, p: cfg.p_init }
+impl Default for CjpMwu {
+    /// A freshly injected packet: `p = 1/4`.
+    fn default() -> Self {
+        CjpMwu { p: P_MAX }
     }
+}
 
+impl CjpMwu {
     /// Current transmission probability.
     pub fn probability(&self) -> f64 {
         self.p
@@ -83,8 +50,8 @@ impl CjpMwu {
 
     fn update(&mut self, fb: Feedback) {
         match fb {
-            Feedback::Empty => self.p = (self.p * self.cfg.gamma).min(self.cfg.p_max),
-            Feedback::Noisy => self.p /= self.cfg.gamma,
+            Feedback::Empty => self.p = (self.p * GAMMA).min(P_MAX),
+            Feedback::Noisy => self.p /= GAMMA,
             Feedback::Success => {}
         }
     }
@@ -142,7 +109,7 @@ mod tests {
 
     #[test]
     fn updates_move_probability() {
-        let mut m = CjpMwu::new(CjpConfig::default());
+        let mut m = CjpMwu::default();
         let p0 = m.probability();
         m.on_feedback(Feedback::Noisy);
         assert!(m.probability() < p0);
@@ -158,7 +125,7 @@ mod tests {
     #[test]
     fn drains_batch_with_constant_throughput() {
         let r = run_grouped(&SimConfig::new(1), Batch::new(2000), NoJam, |_| {
-            CjpMwu::new(CjpConfig::default())
+            CjpMwu::default()
         });
         assert!(r.drained());
         assert!(r.totals.throughput() > 0.15, "{}", r.totals.throughput());
@@ -167,7 +134,7 @@ mod tests {
     #[test]
     fn listens_every_slot_of_life() {
         let r = run_grouped(&SimConfig::new(2), Batch::new(100), NoJam, |_| {
-            CjpMwu::new(CjpConfig::default())
+            CjpMwu::default()
         });
         let ps = r.per_packet.as_ref().unwrap();
         for p in ps {
@@ -184,7 +151,7 @@ mod tests {
                 &SimConfig::new(s),
                 Batch::new(100),
                 NoJam,
-                |_| CjpMwu::new(CjpConfig::default()),
+                |_| CjpMwu::default(),
                 &mut NoHooks,
             )
             .totals
@@ -192,7 +159,7 @@ mod tests {
         });
         let grouped = mean(&|s| {
             run_grouped(&SimConfig::new(s + 77), Batch::new(100), NoJam, |_| {
-                CjpMwu::new(CjpConfig::default())
+                CjpMwu::default()
             })
             .totals
             .active_slots
@@ -204,8 +171,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gamma must exceed 1")]
-    fn config_validation() {
-        CjpConfig::new(1.0, 0.1, 0.2);
+    fn gamma_is_exp_one_quarter_bitwise() {
+        assert_eq!(GAMMA.to_bits(), 0.25f64.exp().to_bits());
+        assert_eq!(std::mem::size_of::<CjpMwu>(), 8);
     }
 }

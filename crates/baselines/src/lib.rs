@@ -26,6 +26,6 @@ pub mod polynomial;
 
 pub use aloha::SlottedAloha;
 pub use beb::{ProbBeb, WindowedBeb};
-pub use cjp::{CjpConfig, CjpMwu};
+pub use cjp::CjpMwu;
 pub use nocd::NoCdBackoff;
 pub use polynomial::PolynomialBackoff;

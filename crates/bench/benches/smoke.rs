@@ -113,7 +113,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use lowsense::{LowSensing, Params, PotentialTracker};
-use lowsense_baselines::{CjpConfig, CjpMwu};
+use lowsense_baselines::CjpMwu;
 use lowsense_bench::profile::{
     probe_opening_capacity, profile_sparse_capacity, profile_sparse_nocd, profile_sparse_smoke,
     tsc, OPENING_EVENT_SLOTS,
@@ -353,7 +353,7 @@ fn main() {
             scenarios::batch_drain(GROUPED_STATIONS)
                 .totals_only()
                 .seeded(seed)
-                .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+                .run_grouped(|_| CjpMwu::default())
         }),
     ];
 

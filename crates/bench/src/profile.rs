@@ -82,31 +82,6 @@ impl SmokeProfile {
     }
 }
 
-/// Publishes a smoke profile into a telemetry sink under the same stable
-/// names the rest of the workspace observes through: one
-/// `bench.phase.<slug>.cycles` counter and `.share` gauge per [`Phase`],
-/// plus the headline `bench.cyc_per_access`. With the
-/// [`NoTelemetry`](lowsense_obs::NoTelemetry) default this compiles to
-/// nothing — the same off-path contract as the engine hooks.
-pub fn publish_phases<T: lowsense_obs::Telemetry>(smoke: &SmokeProfile, out: &mut T) {
-    if !out.enabled() {
-        return;
-    }
-    out.add("bench.reps", smoke.reps);
-    out.add("bench.accesses", smoke.accesses);
-    out.set("bench.cyc_per_access", smoke.cyc_per_access());
-    for phase in Phase::ALL {
-        out.add(
-            &format!("bench.phase.{}.cycles", phase.slug()),
-            smoke.profile.cycles[phase as usize],
-        );
-        out.set(
-            &format!("bench.phase.{}.share", phase.slug()),
-            smoke.profile.share(phase),
-        );
-    }
-}
-
 /// Peak memory over the engine's periodic samples (one per 1024 event
 /// slots).
 ///
@@ -329,7 +304,6 @@ pub fn probe_opening_capacity(stations: u64, seed: u64) -> OpeningProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowsense_obs::{NoTelemetry, Registry};
     use lowsense_sim::engine::STAGE_MIN_LANE_BYTES;
 
     type Factory = fn(&mut SimRng) -> LowSensing;
@@ -421,33 +395,5 @@ mod tests {
         assert!((1..=OPENING_EVENT_SLOTS).contains(&probe.peak_event_slot));
         assert!(probe.peak_bytes_per_station > 0.0);
         assert!(probe.peak_stage_bytes > 0);
-    }
-
-    #[test]
-    fn publish_phases_uses_stable_slug_names() {
-        let mut profile = Profile::default();
-        profile.cycles[Phase::Control as usize] = 75;
-        profile.cycles[Phase::Resolve as usize] = 25;
-        let smoke = SmokeProfile {
-            profile,
-            accesses: 10,
-            reps: 1,
-        };
-        let mut reg = Registry::new();
-        publish_phases(&smoke, &mut reg);
-        assert_eq!(reg.counter("bench.phase.control.cycles"), 75);
-        assert_eq!(reg.counter("bench.phase.resolve.cycles"), 25);
-        assert_eq!(reg.counter("bench.phase.gather.cycles"), 0);
-        assert_eq!(reg.gauge("bench.cyc_per_access"), Some(10.0));
-        let share = reg.gauge("bench.phase.control.share").unwrap();
-        assert!((share - 0.75).abs() < 1e-12);
-        // Every slug appears exactly once among the counters.
-        let phase_counters = reg
-            .counters()
-            .filter(|(k, _)| k.starts_with("bench.phase."))
-            .count();
-        assert_eq!(phase_counters, Phase::ALL.len());
-        // The disabled sink takes the zero-cost early return.
-        publish_phases(&smoke, &mut NoTelemetry);
     }
 }

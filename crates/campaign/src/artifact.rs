@@ -20,6 +20,7 @@ use lowsense_obs::json::{esc, num};
 use lowsense_stats::Welford;
 
 use crate::exec::{CampaignResult, CellReport};
+use crate::table::{Cell, Table};
 
 /// Schema tag of the JSON artifact.
 pub const SCHEMA: &str = "lowsense-campaign/2";
@@ -149,76 +150,44 @@ impl CampaignResult {
         std::fs::write(path, self.to_json())
     }
 
-    /// Renders an aligned human-readable table: one row per cell with the
-    /// headline statistics.
+    /// Renders an aligned human-readable [`Table`]: one row per cell with
+    /// the headline statistics.
     pub fn render(&self) -> String {
         // The model column only appears when the campaign had a model
         // axis, so plain sweeps render exactly as before.
         let with_models = !self.models.is_empty();
-        let mut header = vec!["scenario".to_string(), "protocol".to_string()];
+        let mut columns = vec!["scenario", "protocol"];
         if with_models {
-            header.push("model".to_string());
+            columns.push("model");
         }
-        header.extend(
-            [
-                "runs", "thr.mean", "thr.se", "acc.mean", "acc.p50", "acc.p99", "acc.max",
-            ]
-            .map(String::from),
-        );
-        let mut rows: Vec<Vec<String>> = Vec::with_capacity(self.cells.len());
+        columns.extend([
+            "runs", "thr.mean", "thr.se", "acc.mean", "acc.p50", "acc.p99", "acc.max",
+        ]);
+        let mut table = Table::new(
+            format!("campaign {}", self.name),
+            format!("seed {}, {} replicates/cell", self.seed, self.replicates),
+        )
+        .columns(columns);
         for cell in &self.cells {
             let s = &cell.stats;
             let thr = s.throughput.summary();
             let acc = s.accesses.summary();
-            let mut row = vec![cell.scenario.clone(), cell.protocol.clone()];
+            let mut row = vec![Cell::text(&cell.scenario), Cell::text(&cell.protocol)];
             if with_models {
-                row.push(cell.model.clone());
+                row.push(Cell::text(&cell.model));
             }
             row.extend([
-                s.runs.to_string(),
-                format!("{:.3}", thr.mean),
-                format!("{:.3}", thr.se),
-                format!("{:.1}", acc.mean),
-                format!("{:.0}", s.access_sketch.quantile(0.5)),
-                format!("{:.0}", s.access_sketch.quantile(0.99)),
-                format!("{:.0}", acc.max),
+                Cell::UInt(s.runs),
+                Cell::Float(thr.mean, 3),
+                Cell::Float(thr.se, 3),
+                Cell::Float(acc.mean, 1),
+                Cell::Float(s.access_sketch.quantile(0.5), 0),
+                Cell::Float(s.access_sketch.quantile(0.99), 0),
+                Cell::Float(acc.max, 0),
             ]);
-            rows.push(row);
+            table.row(row);
         }
-        let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== campaign {} — seed {}, {} replicates/cell ==",
-            self.name, self.seed, self.replicates
-        );
-        let _ = writeln!(out, "{}", fmt_row(&header));
-        let _ = writeln!(
-            out,
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &rows {
-            let _ = writeln!(out, "{}", fmt_row(row));
-        }
-        out
+        table.render()
     }
 }
 

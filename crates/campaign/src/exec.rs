@@ -232,7 +232,7 @@ impl CampaignSpec {
             s
         });
         drop(tx);
-        let _registry = reporter.finish();
+        reporter.finish();
         Ok(fold(self, stats))
     }
 

@@ -65,6 +65,9 @@
 //!   to perturb results.
 //! * [`artifact`] — `CAMPAIGN_<name>.json` (schema `lowsense-campaign/2`)
 //!   and the human table.
+//! * [`table`] — the aligned text/CSV [`Table`](table::Table) that the
+//!   human table and every experiment of `lowsense-experiments` render
+//!   through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,6 +79,7 @@ pub mod pool;
 pub mod progress;
 pub mod seed;
 pub mod spec;
+pub mod table;
 
 pub use cell::CellStats;
 pub use exec::{CampaignResult, CellReport};

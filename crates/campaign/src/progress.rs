@@ -28,7 +28,6 @@ use std::thread;
 use std::time::Instant;
 
 use lowsense_obs::json::esc;
-use lowsense_obs::{Registry, Telemetry};
 use lowsense_stats::Welford;
 
 /// Schema tag stamped on the progress JSONL header record.
@@ -88,10 +87,10 @@ impl ProgressMeta {
 /// The reporter half: a spawned thread draining [`UnitDone`] events.
 ///
 /// Dropping every [`SyncSender`] clone ends the stream; [`Reporter::finish`]
-/// then joins the thread and returns the telemetry registry it filled.
+/// then joins the thread once the JSONL footer is written.
 pub(crate) struct Reporter {
     tx: SyncSender<UnitDone>,
-    handle: thread::JoinHandle<Registry>,
+    handle: thread::JoinHandle<()>,
 }
 
 impl Reporter {
@@ -118,7 +117,7 @@ impl Reporter {
 
     /// Drops the reporter's own sender and joins the thread. Call after
     /// every worker-side sender is gone.
-    pub fn finish(self) -> Registry {
+    pub fn finish(self) {
         drop(self.tx);
         self.handle.join().expect("progress reporter panicked")
     }
@@ -130,7 +129,7 @@ fn report(
     meta: ProgressMeta,
     mut out: Option<BufWriter<File>>,
     stderr: bool,
-) -> Registry {
+) {
     let start = Instant::now();
     let units_total = meta.units();
     let mut seq: u64 = 0;
@@ -216,14 +215,6 @@ fn report(
             meta.campaign, cells_done, elapsed, cells_per_sec
         );
     }
-
-    let mut reg = Registry::new();
-    reg.add("progress.units", units_done as u64);
-    reg.add("progress.cells", cells_done as u64);
-    reg.set("progress.elapsed_secs", elapsed);
-    reg.set("progress.unit_wall_mean_secs", wall.mean());
-    reg.set("progress.cells_per_sec", cells_per_sec);
-    reg
 }
 
 #[cfg(test)]
@@ -249,48 +240,63 @@ mod tests {
         .enabled());
     }
 
-    #[test]
-    fn reporter_counts_units_and_cells() {
-        let rep = Reporter::spawn(meta(2, 2), &ProgressConfig::disabled()).unwrap();
-        let tx = rep.sender();
-        // Arbitrary arrival order — indices, not order, drive the counts.
-        for unit in [3usize, 0, 2, 1] {
-            tx.send(UnitDone {
-                unit,
-                wall_secs: 0.001,
-            })
-            .unwrap();
-        }
-        drop(tx);
-        let reg = rep.finish();
-        assert_eq!(reg.counter("progress.units"), 4);
-        assert_eq!(reg.counter("progress.cells"), 2);
-        assert!(reg.gauge("progress.cells_per_sec").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn jsonl_stream_has_header_units_cells_footer() {
+    /// Runs a reporter that writes JSONL to a file named after `tag`, feeds
+    /// it one event per entry of `units`, and returns the stream's lines.
+    fn jsonl_lines(tag: &str, meta: ProgressMeta, units: &[usize], wall_secs: f64) -> Vec<String> {
         let dir = std::env::temp_dir().join("lowsense_progress_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("progress_{}.jsonl", std::process::id()));
+        let path = dir.join(format!("{tag}_{}.jsonl", std::process::id()));
         let cfg = ProgressConfig {
             stderr: false,
             jsonl: Some(path.clone()),
         };
-        let rep = Reporter::spawn(meta(2, 1), &cfg).unwrap();
+        let rep = Reporter::spawn(meta, &cfg).unwrap();
         let tx = rep.sender();
-        for unit in [1usize, 0] {
-            tx.send(UnitDone {
-                unit,
-                wall_secs: 0.5,
-            })
-            .unwrap();
+        for &unit in units {
+            tx.send(UnitDone { unit, wall_secs }).unwrap();
         }
         drop(tx);
-        let _ = rep.finish();
+        rep.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let lines: Vec<&str> = text.lines().collect();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn reporter_counts_units_and_cells() {
+        // Arbitrary arrival order: indices, not order, drive the counts.
+        let lines = jsonl_lines("counts", meta(2, 2), &[3, 0, 2, 1], 0.001);
+        // 4 unit records; units 2 and 1 complete cells 1 and 0 => 2 cell
+        // records, then the footer.
+        assert_eq!(lines.len(), 1 + 4 + 2 + 1);
+        for unit in 0..4 {
+            let tag = format!("\"unit\":{unit},");
+            assert_eq!(
+                lines.iter().filter(|l| l.contains(&tag)).count(),
+                1,
+                "{tag}"
+            );
+        }
+        let cells: Vec<_> = lines
+            .iter()
+            .filter(|l| l.contains("\"t\":\"cell\""))
+            .collect();
+        assert_eq!(cells.len(), 2);
+        assert!(cells[0].contains("\"cell\":1,\"done\":1,\"total\":2"));
+        assert!(cells[1].contains("\"cell\":0,\"done\":2,\"total\":2"));
+        let footer = lines.last().unwrap();
+        assert!(footer.contains("\"done\":2,\"total\":2,\"units\":4"));
+        let rate = footer
+            .split("\"cells_per_sec\":")
+            .nth(1)
+            .and_then(|v| v.trim_end_matches('}').parse::<f64>().ok())
+            .unwrap();
+        assert!(rate > 0.0);
+    }
+
+    #[test]
+    fn jsonl_stream_has_header_units_cells_footer() {
+        let lines = jsonl_lines("stream", meta(2, 1), &[1, 0], 0.5);
         assert!(lines[0].contains("\"schema\":\"lowsense-campaign-progress/1\""));
         assert!(lines[0].contains("\"units\":2"));
         // 2 unit records, each completing its 1-replicate cell => 2 cell

@@ -1,4 +1,5 @@
-//! Result tables: the textual "figures" the harness regenerates.
+//! Result tables: the textual "figures" the harness regenerates, and the
+//! campaign CLI's per-cell summary, in one right-aligned layout.
 
 use std::fmt::Write as _;
 
@@ -62,11 +63,11 @@ impl From<String> for Cell {
     }
 }
 
-/// A result table with an id matching the experiment index in
-/// `docs/PAPER_MAP.md`.
+/// A result table: an experiment's, with an id matching the experiment
+/// index in `docs/PAPER_MAP.md`, or a campaign's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
-    /// Experiment id (`T1`, `F3`, `A2`, …).
+    /// Table id (`T1`, `F3`, `A2`, …, or `campaign <name>`).
     pub id: String,
     /// Human-readable title.
     pub title: String,

@@ -7,7 +7,7 @@
 
 use lowsense::{LowSensing, Params};
 use lowsense_baselines::{
-    CjpConfig, CjpMwu, NoCdBackoff, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb,
+    CjpMwu, NoCdBackoff, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb,
 };
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::feedback::ChannelModel;
@@ -42,9 +42,7 @@ pub fn faceoff_spec(ns: &[u64], replicates: u32, seed: u64) -> CampaignSpec {
             let n = knobs["n"] as u64;
             sc.run_sparse(move |_| SlottedAloha::genie(n))
         })
-        .protocol("cjp-mwu", |sc, _| {
-            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-        })
+        .protocol("cjp-mwu", |sc, _| sc.run_grouped(|_| CjpMwu::default()))
 }
 
 /// The tiny face-off instance the CI determinism canary runs: small

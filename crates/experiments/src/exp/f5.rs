@@ -5,7 +5,7 @@
 //! and the baselines: flat for the constant-throughput algorithms, growing
 //! (`Θ(log N)`-style) for the backoff family.
 
-use lowsense_baselines::{CjpConfig, CjpMwu, SlottedAloha, WindowedBeb};
+use lowsense_baselines::{CjpMwu, SlottedAloha, WindowedBeb};
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::scenario::scenarios;
 
@@ -33,9 +33,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let n = knobs["n"] as u64;
             sc.run_sparse(move |_| SlottedAloha::genie(n))
         })
-        .protocol("cjp-mwu", |sc, _| {
-            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-        })
+        .protocol("cjp-mwu", |sc, _| sc.run_grouped(|_| CjpMwu::default()))
         .run();
     let mut table = Table::new("F5", "batch makespan per packet (active slots / N)").columns([
         "N",

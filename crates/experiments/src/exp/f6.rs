@@ -6,7 +6,7 @@
 //! accesses equal its lifetime, i.e. `Θ(N)` for a batch — the exponential
 //! separation the paper's title is about.
 
-use lowsense_baselines::{CjpConfig, CjpMwu};
+use lowsense_baselines::CjpMwu;
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::scenario::scenarios;
 
@@ -27,9 +27,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ScenarioPoint::new(scenarios::protocol_faceoff(n).boxed()).knob("n", n as f64)
         }))
         .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
-        .protocol("cjp-mwu", |sc, _| {
-            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-        })
+        .protocol("cjp-mwu", |sc, _| sc.run_grouped(|_| CjpMwu::default()))
         .run();
     let mut table = Table::new("F6", "per-packet energy split on a batch of N").columns([
         "N",

@@ -7,7 +7,7 @@
 //! and the p99/p50 latency ratio — against the every-slot MWU and windowed
 //! BEB baselines.
 
-use lowsense_baselines::{CjpConfig, CjpMwu, WindowedBeb};
+use lowsense_baselines::{CjpMwu, WindowedBeb};
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::scenario::scenarios;
 use lowsense_stats::tail_summary;
@@ -41,9 +41,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             ScenarioPoint::new(scenarios::protocol_faceoff(n).boxed()).knob("n", n as f64)
         }))
         .protocol("low-sensing", |sc, _| sc.run_sparse(lsb()))
-        .protocol("cjp-mwu", |sc, _| {
-            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-        })
+        .protocol("cjp-mwu", |sc, _| sc.run_grouped(|_| CjpMwu::default()))
         .protocol("beb-window", |sc, _| {
             sc.run_sparse(|rng| WindowedBeb::new(2, 40, rng))
         })

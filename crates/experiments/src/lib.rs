@@ -26,8 +26,8 @@ pub mod campaigns;
 pub mod common;
 pub mod exp;
 pub mod runner;
-pub mod table;
 
+pub use lowsense_campaign::table;
 pub use runner::Scale;
 pub use table::{Cell, Table};
 

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use lowsense_sim::hooks::{EngineSample, Hooks};
 
 use crate::json::{esc, num};
-use crate::registry::Telemetry;
+use crate::registry::Registry;
 use crate::stall::{StallDetector, StallEvent};
 
 /// Schema tag stamped on [`FlightRecorder::to_jsonl`] headers.
@@ -153,11 +153,8 @@ impl FlightRecorder {
     }
 
     /// Publishes the recording's final counters and last-sample gauges
-    /// into a telemetry sink under the `flight.*` namespace.
-    pub fn publish<T: Telemetry>(&self, out: &mut T) {
-        if !out.enabled() {
-            return;
-        }
+    /// into `out` under the `flight.*` namespace.
+    pub fn publish(&self, out: &mut Registry) {
         out.add("flight.samples", self.ring.len() as u64 + self.dropped);
         out.add("flight.dropped", self.dropped);
         out.add("flight.stalls", self.stalls.len() as u64);
@@ -200,7 +197,6 @@ impl<P> Hooks<P> for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
     use crate::stall::StallConfig;
     use lowsense_sim::metrics::Totals;
 
@@ -291,9 +287,6 @@ mod tests {
         assert_eq!(reg.gauge("flight.last.footprint_bytes"), Some(1024.0));
         assert_eq!(reg.gauge("flight.last.state_bytes"), Some(512.0));
         assert_eq!(reg.gauge("flight.last.stage_bytes"), Some(256.0));
-        // The no-op sink stays a no-op.
-        let mut off = crate::NoTelemetry;
-        rec.publish(&mut off);
     }
 
     #[test]

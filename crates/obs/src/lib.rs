@@ -13,10 +13,9 @@
 //!
 //! Three pieces:
 //!
-//! * [`Telemetry`] / [`Registry`] — a named counter/gauge/histogram sink.
-//!   Instrumented code is generic over `T: Telemetry`; the default
-//!   [`NoTelemetry`] implementation monomorphizes every publish call to
-//!   nothing, so the off-path costs literally zero instructions.
+//! * [`Registry`] — named counters and gauges with one name-ordered JSON
+//!   export. A publisher fills a `&mut Registry` once the run it describes
+//!   has ended, so no publish call sits on a hot path.
 //! * [`FlightRecorder`] — a [`Hooks`](lowsense_sim::hooks::Hooks)
 //!   implementation that asks the sparse engine for a periodic
 //!   [`EngineSample`](lowsense_sim::hooks::EngineSample) (backlog,
@@ -39,7 +38,7 @@
 //! same two helpers.
 //!
 //! ```
-//! use lowsense_obs::{FlightRecorder, Registry, Telemetry};
+//! use lowsense_obs::{FlightRecorder, Registry};
 //! use lowsense_sim::prelude::*;
 //! use lowsense_sim::scenario::scenarios;
 //! use lowsense_sim::dist::geometric;
@@ -79,7 +78,7 @@ mod registry;
 mod stall;
 
 pub use flight::{FlightRecorder, FLIGHT_SCHEMA};
-pub use registry::{NoTelemetry, Registry, Telemetry, REGISTRY_SCHEMA};
+pub use registry::{Registry, REGISTRY_SCHEMA};
 pub use stall::{StallConfig, StallDetector, StallEvent, StallKind};
 
 /// The workspace's one rule for writing a string or a float as JSON. Both

@@ -7,9 +7,8 @@
 //!   counts over skipped slot ranges. Uses the exact BINV inverse transform
 //!   for `n·min(p,1-p) ≤ 30` and the BTPE rejection algorithm of
 //!   Kachitvichyanukul & Schmeiser (1988) above it.
-//! * [`poisson`] — arrival counts. Knuth's product method for `λ ≤ 30`; a
-//!   rounded-normal approximation above (documented: only bulk accounting
-//!   paths ever see large `λ`).
+//!
+//! Poisson arrival counts are drawn by `arrivals::PoissonArrivals` itself.
 //!
 //! # Examples
 //!
@@ -487,73 +486,6 @@ fn stirling_correction(x: f64, x2: f64) -> f64 {
     (13860.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x / 166320.0
 }
 
-/// Samples `Poisson(lambda)`.
-///
-/// Exact (Knuth's product method) for `λ ≤ 30`. For larger `λ` a rounded
-/// normal approximation is used; in this codebase only bulk-accounting paths
-/// (never per-slot decisions) see large `λ`, where the relative error of the
-/// approximation is far below Monte Carlo noise.
-///
-/// # Panics
-///
-/// Panics (debug builds) if `lambda` is negative or NaN.
-pub fn poisson(rng: &mut SimRng, lambda: f64) -> u64 {
-    debug_assert!(lambda >= 0.0, "poisson rate must be non-negative");
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda <= 30.0 {
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut prod = 1.0;
-        loop {
-            prod *= rng.f64();
-            if prod <= l {
-                return k;
-            }
-            k += 1;
-        }
-    } else {
-        // Normal approximation with continuity correction.
-        let z = standard_normal(rng);
-        rounded_normal_count(lambda, z)
-    }
-}
-
-/// The rounded-normal branch of [`poisson`]: `⌊λ + √λ·z + ½⌋` clamped into
-/// `[0, u64::MAX]`.
-///
-/// A sufficiently negative draw (`z < -(√λ + ½/√λ)`, a ~5.6σ event at the
-/// λ ≈ 30 switchover) makes the continuity-corrected value negative; the
-/// count must clamp to 0, never wrap. The top end goes through
-/// [`saturating_count`] for the same audit as the geometric samplers
-/// (astronomical λ saturates to `u64::MAX` instead of relying on cast
-/// semantics). Exposed at crate level so the clamp has a direct
-/// regression test that does not depend on hunting a 5.6σ seed.
-#[inline]
-pub fn rounded_normal_count(lambda: f64, z: f64) -> u64 {
-    let x = lambda + lambda.sqrt() * z + 0.5;
-    if x < 0.0 {
-        0
-    } else {
-        saturating_count(x)
-    }
-}
-
-/// Samples a standard normal via Box–Muller (one value per call; simple and
-/// branch-free enough for the rare large-λ path).
-pub fn standard_normal(rng: &mut SimRng) -> f64 {
-    loop {
-        let u1 = rng.f64();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2 = rng.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        return r * (std::f64::consts::TAU * u2).cos();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,32 +622,6 @@ mod tests {
             }
         }
         assert!(in_band > 100, "only {in_band} draws hit [2^63, 2^64)");
-    }
-
-    #[test]
-    fn rounded_normal_count_clamps_at_zero() {
-        // Regression for the poisson large-λ branch: a deep-left draw must
-        // clamp to 0, never wrap. λ = 31 is just above the switchover.
-        assert_eq!(rounded_normal_count(31.0, -10.0), 0);
-        assert_eq!(rounded_normal_count(31.0, -6.0), 0);
-        assert_eq!(rounded_normal_count(100.0, -1e6), 0);
-        // Just inside vs. just outside the clamp.
-        assert_eq!(rounded_normal_count(31.0, -5.0), 3);
-        assert!(rounded_normal_count(31.0, 0.0) == 31);
-        // Top end saturates instead of relying on cast semantics.
-        assert_eq!(rounded_normal_count(1e300, 0.0), u64::MAX);
-    }
-
-    #[test]
-    fn poisson_large_lambda_never_panics_on_extreme_seeds() {
-        // Sweep many seeds through the rounded-normal branch; all counts
-        // must be valid u64s (the clamp path is hit or not, silently).
-        for seed in 0..200 {
-            let mut rng = SimRng::new(seed);
-            for _ in 0..500 {
-                let _ = poisson(&mut rng, 31.0);
-            }
-        }
     }
 
     #[test]
@@ -921,42 +827,5 @@ mod tests {
                 assert!(d.sample(&mut rng) <= n);
             }
         }
-    }
-
-    #[test]
-    fn poisson_small_lambda_moments() {
-        let mut rng = SimRng::new(11);
-        let xs: Vec<f64> = (0..200_000)
-            .map(|_| poisson(&mut rng, 3.0) as f64)
-            .collect();
-        let (mean, var) = moments(&xs);
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 3.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_moments() {
-        let mut rng = SimRng::new(12);
-        let xs: Vec<f64> = (0..100_000)
-            .map(|_| poisson(&mut rng, 500.0) as f64)
-            .collect();
-        let (mean, var) = moments(&xs);
-        assert!((mean - 500.0).abs() < 1.0, "mean {mean}");
-        assert!((var - 500.0).abs() < 15.0, "var {var}");
-    }
-
-    #[test]
-    fn poisson_zero_lambda() {
-        let mut rng = SimRng::new(13);
-        assert_eq!(poisson(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = SimRng::new(14);
-        let xs: Vec<f64> = (0..200_000).map(|_| standard_normal(&mut rng)).collect();
-        let (mean, var) = moments(&xs);
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
     }
 }

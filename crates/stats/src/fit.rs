@@ -9,6 +9,12 @@
 //!   one shows `β ≈ 1`.
 //! * [`polylog_exponent`] — fit `y ∝ (ln x)^k` (`ln y` vs `ln ln x`),
 //!   estimating the polylog degree `k` directly.
+//!
+//! Caveat on resolution: over practically simulable ranges (say
+//! `x ∈ [2⁶, 2²⁰]`) a degree-4 polylog is numerically indistinguishable
+//! from `√x`: both grow by ~120× and fit either model with high `R²`. A
+//! power exponent near 0.5 is therefore consistent with the polylog claim,
+//! not evidence against it; read it beside the fitted polylog degree.
 
 use crate::regression::{ols, Fit};
 
@@ -57,41 +63,6 @@ fn log_transform(xs: &[f64], ys: &[f64], fx: impl Fn(f64) -> f64) -> (Vec<f64>, 
     (lx, ly)
 }
 
-/// Classification of a measured growth shape against the paper's claims.
-///
-/// Caveat on resolution: over practically simulable ranges (say
-/// `x ∈ [2⁶, 2²⁰]`) a degree-4 polylog is numerically indistinguishable
-/// from `√x` — both grow by ~120× and fit either model with high `R²`. The
-/// `Polylog` bucket therefore means *"strongly sublinear, consistent with
-/// the polylog claim"* (power exponent < 0.6); experiments additionally
-/// report the fitted polylog degree for the record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Growth {
-    /// Power exponent below 0.6: consistent with polylogarithmic growth
-    /// (see type-level caveat).
-    Polylog,
-    /// Power exponent in `[0.6, 0.85)`.
-    Sublinear,
-    /// Power exponent in `[0.85, 1.25)`: consistent with linear growth.
-    Linear,
-    /// Power exponent ≥ 1.25.
-    Superlinear,
-}
-
-/// Classifies the growth of `y` in `x` by power-law exponent.
-pub fn classify_growth(xs: &[f64], ys: &[f64]) -> Growth {
-    let (beta, _) = power_exponent(xs, ys);
-    if beta < 0.6 {
-        Growth::Polylog
-    } else if beta < 0.85 {
-        Growth::Sublinear
-    } else if beta < 1.25 {
-        Growth::Linear
-    } else {
-        Growth::Superlinear
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,31 +91,16 @@ mod tests {
 
     #[test]
     fn polylog_data_has_small_power_exponent() {
-        // ln⁴x over [2⁶, 2²⁰] masquerades as x^≈0.5 — the documented
-        // resolution limit; it still lands in the Polylog bucket.
+        // ln⁴x over [2⁶, 2²⁰] masquerades as x^≈0.5: the documented
+        // resolution limit.
         let xs = sweep();
         let ys: Vec<f64> = xs.iter().map(|x| x.ln().powi(4)).collect();
         let (beta, _) = power_exponent(&xs, &ys);
         assert!((0.3..0.6).contains(&beta), "ln⁴ looks like x^{beta}");
-        assert_eq!(classify_growth(&xs, &ys), Growth::Polylog);
         // Lower-degree polylogs resolve much more sharply.
         let ys2: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
         let (beta2, _) = power_exponent(&xs, &ys2);
         assert!(beta2 < 0.2, "ln x looks like x^{beta2}");
-    }
-
-    #[test]
-    fn linear_data_classified_linear() {
-        let xs = sweep();
-        let ys: Vec<f64> = xs.iter().map(|x| 0.3 * x).collect();
-        assert_eq!(classify_growth(&xs, &ys), Growth::Linear);
-    }
-
-    #[test]
-    fn quadratic_data_classified_superlinear() {
-        let xs = sweep();
-        let ys: Vec<f64> = xs.iter().map(|x| x * x).collect();
-        assert_eq!(classify_growth(&xs, &ys), Growth::Superlinear);
     }
 
     #[test]

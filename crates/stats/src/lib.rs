@@ -1,12 +1,12 @@
 //! # lowsense-stats — Monte Carlo post-processing
 //!
 //! Dependency-free statistics used by the experiment harness: summaries,
-//! quantiles, OLS regression, growth-shape fits (power / polylog exponents)
-//! for validating the paper's asymptotic claims, bootstrap confidence
-//! intervals, and log-spaced histograms. The streaming accumulators
-//! ([`Welford`], [`LogHistogram`], [`QuantileSketch`]) are **mergeable** —
-//! each has a `merge` that combines partial aggregates — which is what the
-//! campaign layer's sharded sweeps fold with.
+//! quantiles, OLS regression, growth-shape fits (power / polylog exponents:
+//! they measure a sweep's shape, and a claim's stated bound judges it),
+//! bootstrap confidence intervals, and log-spaced histograms. The streaming
+//! accumulators ([`Welford`], [`LogHistogram`], [`QuantileSketch`]) are
+//! **mergeable** — each has a `merge` that combines partial aggregates —
+//! which is what the campaign layer's sharded sweeps fold with.
 //!
 //! ```
 //! use lowsense_stats::{fit, Summary};
@@ -30,7 +30,7 @@ pub mod sketch;
 pub mod summary;
 
 pub use bootstrap::{bootstrap_mean_ci, Interval};
-pub use fit::{classify_growth, polylog_exponent, power_exponent, Growth};
+pub use fit::{polylog_exponent, power_exponent};
 pub use histogram::LogHistogram;
 pub use quantile::{mad, median, quantile, quantile_sorted, tail_summary};
 pub use regression::{ols, Fit};

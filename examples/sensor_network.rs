@@ -17,7 +17,7 @@
 //! ```
 
 use lowsense::{LowSensing, Params};
-use lowsense_baselines::{CjpConfig, CjpMwu};
+use lowsense_baselines::CjpMwu;
 use lowsense_campaign::{CampaignSpec, ScenarioPoint};
 use lowsense_sim::prelude::*;
 
@@ -56,9 +56,7 @@ fn main() {
         .protocol("low-sensing", |sc, _| {
             sc.run_sparse(|_| LowSensing::new(Params::default()))
         })
-        .protocol("mwu-cjp", |sc, _| {
-            sc.run_grouped(|_| CjpMwu::new(CjpConfig::default()))
-        })
+        .protocol("mwu-cjp", |sc, _| sc.run_grouped(|_| CjpMwu::default()))
         .run();
 
     println!("{}", result.render());

@@ -1,9 +1,7 @@
 //! End-to-end: every protocol × representative workloads (all constructed
 //! through the scenario layer), plus the experiment registry.
 
-use lowsense_baselines::{
-    CjpConfig, CjpMwu, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb,
-};
+use lowsense_baselines::{CjpMwu, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb};
 use lowsense_sim::prelude::*;
 
 use lowsense::lsb;
@@ -55,7 +53,7 @@ fn every_baseline_drains_a_batch() {
         .drained());
     assert!(batch
         .seeded(14)
-        .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+        .run_grouped(|_| CjpMwu::default())
         .drained());
 }
 

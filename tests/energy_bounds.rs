@@ -2,7 +2,7 @@
 //! fast regression tests.
 
 use lowsense::theory;
-use lowsense_baselines::{CjpConfig, CjpMwu};
+use lowsense_baselines::CjpMwu;
 use lowsense_sim::prelude::*;
 
 use lowsense::lsb;
@@ -55,7 +55,7 @@ fn cjp_pays_linear_listening_energy() {
     let energy = |n: u64| {
         let r = scenarios::batch_drain(n)
             .seed(1)
-            .run_grouped(|_| CjpMwu::new(CjpConfig::default()));
+            .run_grouped(|_| CjpMwu::default());
         let counts = r.access_counts();
         counts.iter().sum::<u64>() as f64 / counts.len() as f64
     };

@@ -7,7 +7,7 @@
 //! the sparse engine's bulk gap accounting and the grouped engine's cohort
 //! sampling must both reproduce the dense engine's jam statistics.
 
-use lowsense_baselines::{CjpConfig, CjpMwu, SlottedAloha, WindowedBeb};
+use lowsense_baselines::{CjpMwu, SlottedAloha, WindowedBeb};
 use lowsense_sim::prelude::*;
 
 use lowsense::lsb;
@@ -118,14 +118,14 @@ fn cjp_dense_vs_grouped() {
     let d = mean((0..SEEDS).map(|s| {
         scenario
             .seeded(s)
-            .run_dense(|_| CjpMwu::new(CjpConfig::default()))
+            .run_dense(|_| CjpMwu::default())
             .totals
             .active_slots as f64
     }));
     let g = mean((400..400 + SEEDS).map(|s| {
         scenario
             .seeded(s)
-            .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+            .run_grouped(|_| CjpMwu::default())
             .totals
             .active_slots as f64
     }));
@@ -141,13 +141,9 @@ fn cjp_dense_vs_grouped_under_random_jam() {
     let run_pair = |seed_base: u64, grouped: bool| {
         mean((seed_base..seed_base + SEEDS).map(|s| {
             let r = if grouped {
-                scenario
-                    .seeded(s)
-                    .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+                scenario.seeded(s).run_grouped(|_| CjpMwu::default())
             } else {
-                scenario
-                    .seeded(s)
-                    .run_dense(|_| CjpMwu::new(CjpConfig::default()))
+                scenario.seeded(s).run_dense(|_| CjpMwu::default())
             };
             assert!(r.drained(), "seed {s} did not drain");
             r.totals.active_slots as f64
@@ -165,13 +161,9 @@ fn cjp_dense_vs_grouped_under_bursty_jam() {
         let runs: Vec<RunResult> = (seed_base..seed_base + SEEDS)
             .map(|s| {
                 if grouped {
-                    scenario
-                        .seeded(s)
-                        .run_grouped(|_| CjpMwu::new(CjpConfig::default()))
+                    scenario.seeded(s).run_grouped(|_| CjpMwu::default())
                 } else {
-                    scenario
-                        .seeded(s)
-                        .run_dense(|_| CjpMwu::new(CjpConfig::default()))
+                    scenario.seeded(s).run_dense(|_| CjpMwu::default())
                 }
             })
             .collect();

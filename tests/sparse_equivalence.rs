@@ -25,9 +25,7 @@
 //! (slot, insertion-seq) order through every cascade the wheel performs.
 
 use lowsense::{lsb, Coupling, LowSensing, Params, Rule, Update};
-use lowsense_baselines::{
-    CjpConfig, CjpMwu, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb,
-};
+use lowsense_baselines::{CjpMwu, PolynomialBackoff, ProbBeb, SlottedAloha, WindowedBeb};
 use lowsense_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -121,8 +119,8 @@ fn baselines_bit_identical_on_jammed_batch() {
     );
     let s = s.clone().until_slot(5_000);
     assert_identical(
-        &s.run_sparse(|_| CjpMwu::new(CjpConfig::default())),
-        &s.run_sparse_reference(|_| CjpMwu::new(CjpConfig::default())),
+        &s.run_sparse(|_| CjpMwu::default()),
+        &s.run_sparse_reference(|_| CjpMwu::default()),
         "cjp (every-slot listener)",
     );
 }
@@ -226,7 +224,7 @@ fn seven_protocols_three_way_bit_identical() {
     );
     assert_three_way(
         &s,
-        |_: &mut SimRng| CjpMwu::new(CjpConfig::default()),
+        |_: &mut SimRng| CjpMwu::default(),
         "cjp (every-slot listener)",
     );
     let p = blunt_independent();
@@ -345,8 +343,8 @@ proptest! {
                 &what,
             ),
             5 => assert_identical(
-                &s.run_sparse(|_| CjpMwu::new(CjpConfig::default())),
-                &s.run_sparse_reference(|_| CjpMwu::new(CjpConfig::default())),
+                &s.run_sparse(|_| CjpMwu::default()),
+                &s.run_sparse_reference(|_| CjpMwu::default()),
                 &what,
             ),
             _ => {
